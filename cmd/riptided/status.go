@@ -113,9 +113,7 @@ func newStatusHandler(agent *core.Agent, retry *core.RetryingRouteProgrammer, fl
 		return p
 	}
 	mux := http.NewServeMux()
-	mux.Handle(fleet.SnapshotPath, srv.SnapshotHandler())
-	mux.Handle(fleet.DigestPath, srv.DigestHandler())
-	mux.Handle(fleet.DeltaPath, srv.DeltaHandler())
+	srv.Register(mux)
 	mux.HandleFunc("/status", func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodGet {
 			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)

@@ -4,13 +4,16 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"net/http"
 	"net/netip"
 	"time"
 
 	"riptide/internal/core"
 	"riptide/internal/eventsim"
+	"riptide/internal/fleet"
 	"riptide/internal/guard"
 	"riptide/internal/kernel"
+	"riptide/internal/metrics"
 	"riptide/internal/netsim"
 	"riptide/internal/workload"
 )
@@ -205,11 +208,14 @@ type Cluster struct {
 	agents  map[netip.Addr]*agentSlot
 	tickers []*eventsim.Ticker
 
-	// Gossip sharing state (EnableGossipSharing): per-edge sync cursors,
-	// cumulative wire accounting, and the boot-identity counter.
-	gossipCursors map[gossipPair]gossipCursor
-	gossipStats   GossipStats
-	instanceSeq   int
+	// metrics is the one registry every agent, fleet server, and puller
+	// of the cluster counts into, so fleet-wide totals read off it.
+	metrics *metrics.Registry
+	// gossip is the puller template EnableGossipSharing installs (nil while
+	// gossip is off); a reboot builds the new agent's puller from it.
+	gossip *fleet.PullerConfig
+	// instanceSeq numbers fleet-server boot identities across the cluster.
+	instanceSeq int
 
 	pools map[poolKey][]*pooledConn
 
@@ -221,13 +227,16 @@ type Cluster struct {
 
 // agentSlot indirects agent access so a PoP reboot can swap in a fresh
 // agent while the per-host ticker keeps firing. gov is the agent's safety
-// governor when RiptideOptions.Guard is set (nil otherwise); it is rebuilt
-// together with the agent on reboot. instance is the gossip boot identity,
-// reminted on reboot so peers notice the version-counter reset.
+// governor when RiptideOptions.Guard is set (nil otherwise). serve holds the
+// machine's fleet endpoints, what its peers' pullers reach; puller is its
+// own gossip client over peers, set once EnableGossipSharing runs. A
+// reboot rebuilds all of them except peers.
 type agentSlot struct {
-	agent    *core.Agent
-	gov      *guard.Governor
-	instance string
+	agent  *core.Agent
+	gov    *guard.Governor
+	serve  *http.ServeMux
+	puller *fleet.Puller
+	peers  []string
 }
 
 type poolKey struct{ src, dst netip.Addr }
@@ -280,17 +289,16 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		return nil, err
 	}
 	c := &Cluster{
-		cfg:    cfg,
-		engine: engine,
-		net:    net,
-		rng:    workload.NewRand(cfg.Seed + 1),
-		pops:   cfg.PoPs,
-		byName: make(map[string]PoP, len(cfg.PoPs)),
-		hosts:  make(map[string][]*kernel.Host, len(cfg.PoPs)),
-		agents: make(map[netip.Addr]*agentSlot),
-		pools:  make(map[poolKey][]*pooledConn),
-
-		gossipCursors: make(map[gossipPair]gossipCursor),
+		cfg:     cfg,
+		engine:  engine,
+		net:     net,
+		rng:     workload.NewRand(cfg.Seed + 1),
+		pops:    cfg.PoPs,
+		byName:  make(map[string]PoP, len(cfg.PoPs)),
+		hosts:   make(map[string][]*kernel.Host, len(cfg.PoPs)),
+		agents:  make(map[netip.Addr]*agentSlot),
+		pools:   make(map[poolKey][]*pooledConn),
+		metrics: metrics.NewRegistry(),
 	}
 
 	for _, p := range cfg.PoPs {
@@ -385,6 +393,7 @@ func (c *Cluster) newAgentForHost(h *kernel.Host) (*core.Agent, *guard.Governor,
 		PrefixBits:     r.PrefixBits,
 		Combiner:       r.Combiner,
 		History:        r.History,
+		Metrics:        c.metrics,
 	})
 	if err != nil {
 		return nil, nil, err
@@ -398,13 +407,12 @@ func (c *Cluster) startRiptide() error {
 	// irreproducible across identical seeds.
 	for _, p := range c.pops {
 		for _, h := range c.hosts[p.Name] {
-			agent, gov, err := c.newAgentForHost(h)
-			if err != nil {
+			slot := &agentSlot{}
+			if err := c.boot(slot, h); err != nil {
 				return fmt.Errorf("cdn: riptide agent for %s/%v: %w", p.Name, h.Addr(), err)
 			}
-			slot := &agentSlot{agent: agent, gov: gov, instance: c.nextInstance(h.Addr())}
 			c.agents[h.Addr()] = slot
-			interval := agent.Config().UpdateInterval
+			interval := slot.agent.Config().UpdateInterval
 			tk, err := eventsim.NewTicker(c.engine, interval, func(time.Duration) {
 				// Route programming against the simulated kernel
 				// cannot fail; sampling likewise. Read through the
@@ -420,6 +428,26 @@ func (c *Cluster) startRiptide() error {
 		}
 	}
 	return nil
+}
+
+// boot (re)starts a machine's Riptide stack with empty state: a fresh agent
+// and governor, a fleet server under a new boot identity (peers see the
+// instance change and resync divergent buckets instead of trusting their
+// delta cursors), and, with gossip on, a puller that remembers no peer.
+func (c *Cluster) boot(slot *agentSlot, h *kernel.Host) error {
+	agent, gov, err := c.newAgentForHost(h)
+	if err != nil {
+		return err
+	}
+	slot.agent, slot.gov = agent, gov
+	c.instanceSeq++
+	instance := fmt.Sprintf("%v#%d", h.Addr(), c.instanceSeq)
+	slot.serve = http.NewServeMux()
+	fleet.NewServer(agent, h.Addr().String(), instance, c.simTime).Register(slot.serve)
+	if c.gossip == nil {
+		return nil
+	}
+	return c.startPuller(slot)
 }
 
 // RebootPoP simulates the paper's Section II-A maintenance event: every
@@ -440,14 +468,9 @@ func (c *Cluster) RebootPoP(name string) (int, error) {
 		}
 		if slot, ok := c.agents[h.Addr()]; ok {
 			_ = slot.agent.Close()
-			fresh, gov, err := c.newAgentForHost(h)
-			if err != nil {
+			if err := c.boot(slot, h); err != nil {
 				return closed, fmt.Errorf("cdn: restart agent for %s/%v: %w", name, h.Addr(), err)
 			}
-			slot.agent = fresh
-			slot.gov = gov
-			slot.instance = c.nextInstance(h.Addr())
-			c.dropGossipCursors(h.Addr())
 		}
 	}
 	return closed, nil

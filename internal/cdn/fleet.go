@@ -83,14 +83,9 @@ func (c *Cluster) RebootHost(name string, idx int) (int, error) {
 	}
 	if slot, ok := c.agents[h.Addr()]; ok {
 		_ = slot.agent.Close()
-		fresh, gov, err := c.newAgentForHost(h)
-		if err != nil {
+		if err := c.boot(slot, h); err != nil {
 			return closed, fmt.Errorf("cdn: restart agent for %s[%d]: %w", name, idx, err)
 		}
-		slot.agent = fresh
-		slot.gov = gov
-		slot.instance = c.nextInstance(h.Addr())
-		c.dropGossipCursors(h.Addr())
 	}
 	return closed, nil
 }

@@ -7,7 +7,19 @@ import (
 	"riptide/internal/core"
 )
 
-func newGossipCluster(t *testing.T, mode GossipMode) *Cluster {
+// newGossipCluster builds a small two-host-per-PoP fleet with gossip
+// sharing on, walking the ladder or, with ladder false, pulling legacy full
+// snapshots every round.
+func newGossipCluster(t *testing.T, ladder bool) *Cluster {
+	t.Helper()
+	c := newGossipFleet(t)
+	if err := c.EnableGossipSharing(5*time.Second, core.MergePolicy{}, ladder); err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+func newGossipFleet(t *testing.T) *Cluster {
 	t.Helper()
 	c, err := NewCluster(Config{
 		PoPs:        smallTopology(),
@@ -23,22 +35,20 @@ func newGossipCluster(t *testing.T, mode GossipMode) *Cluster {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mode != "" {
-		if err := c.EnableGossipSharing(5*time.Second, core.MergePolicy{}, mode); err != nil {
-			t.Fatal(err)
-		}
-	}
 	return c
 }
 
 func TestEnableGossipSharingValidation(t *testing.T) {
-	c := newGossipCluster(t, "")
+	c := newGossipFleet(t)
 	defer c.Stop()
-	if err := c.EnableGossipSharing(0, core.MergePolicy{}, GossipLadder); err == nil {
+	if err := c.EnableGossipSharing(0, core.MergePolicy{}, true); err == nil {
 		t.Error("zero interval accepted")
 	}
-	if err := c.EnableGossipSharing(5*time.Second, core.MergePolicy{}, "telepathy"); err == nil {
-		t.Error("unknown mode accepted")
+	if err := c.EnableGossipSharing(5*time.Second, core.MergePolicy{}, true); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.EnableGossipSharing(5*time.Second, core.MergePolicy{}, true); err == nil {
+		t.Error("second enable accepted")
 	}
 
 	noRiptide, err := NewCluster(Config{PoPs: smallTopology(), Seed: 1})
@@ -46,7 +56,7 @@ func TestEnableGossipSharingValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer noRiptide.Stop()
-	if err := noRiptide.EnableGossipSharing(5*time.Second, core.MergePolicy{}, GossipLadder); err == nil {
+	if err := noRiptide.EnableGossipSharing(5*time.Second, core.MergePolicy{}, true); err == nil {
 		t.Error("gossip sharing without riptide accepted")
 	}
 }
@@ -55,7 +65,7 @@ func TestEnableGossipSharingValidation(t *testing.T) {
 // beyond their own observations (cross-PoP dissemination works), and once
 // the fleet is converged the rounds are overwhelmingly digest-only.
 func TestGossipLadderConverges(t *testing.T) {
-	c := newGossipCluster(t, GossipLadder)
+	c := newGossipCluster(t, true)
 	defer c.Stop()
 	c.Run(5 * time.Minute)
 
@@ -89,9 +99,9 @@ func TestGossipLadderConverges(t *testing.T) {
 // ladder is built for: digests are O(1) in table size, full snapshots are
 // O(n), and on a freshly started toy table the two costs are comparable.
 func TestGossipLadderBeatsFullOnBytes(t *testing.T) {
-	ladder := newGossipCluster(t, GossipLadder)
+	ladder := newGossipCluster(t, true)
 	defer ladder.Stop()
-	full := newGossipCluster(t, GossipFull)
+	full := newGossipCluster(t, false)
 	defer full.Stop()
 	for _, c := range []*Cluster{ladder, full} {
 		if err := c.SeedWarmEntries(400, core.MergePolicy{}); err != nil {
@@ -116,10 +126,11 @@ func TestGossipLadderBeatsFullOnBytes(t *testing.T) {
 
 // TestGossipSeedsRebootedHost: a rebooted machine regains entries from
 // gossip within a couple of intervals, and its peers' restart detection
-// (instance change + cursor drop) keeps the edges flowing rather than
+// (the fleet server's instance change, plus the rebooted machine's puller
+// starting with no cursors) keeps the edges flowing rather than
 // reading stale cursors as "converged".
 func TestGossipSeedsRebootedHost(t *testing.T) {
-	c := newGossipCluster(t, GossipLadder)
+	c := newGossipCluster(t, true)
 	defer c.Stop()
 	c.Run(5 * time.Minute)
 
@@ -144,5 +155,34 @@ func TestGossipSeedsRebootedHost(t *testing.T) {
 	// divergent buckets instead of re-pulling whole tables.
 	if got := c.GossipStats().BucketRounds; got <= preBuckets {
 		t.Errorf("bucket rounds %d -> %d: restart did not trigger a bucket resync", preBuckets, got)
+	}
+}
+
+// TestGossipRunsShippedFleetCode: the simulator's gossip is riptided's fleet
+// server and puller, not a model of them. Every byte a puller counts as
+// received is a byte some server counted as sent, converged rounds are
+// server-side 304s, and the derived stats agree with the raw counters.
+func TestGossipRunsShippedFleetCode(t *testing.T) {
+	c := newGossipCluster(t, true)
+	defer c.Stop()
+	c.Run(2 * time.Minute)
+
+	counter := func(name string) uint64 { return c.metrics.Counter(name).Value() }
+	sent, received := counter("riptide_gossip_bytes_sent"), counter("riptide_gossip_bytes_received")
+	if sent == 0 || sent != received {
+		t.Fatalf("bytes sent %d, received %d: want equal and non-zero", sent, received)
+	}
+	if got := counter("riptide_fleet_serve_not_modified"); got == 0 {
+		t.Fatal("no server answered a 304")
+	}
+	gs := c.GossipStats()
+	if gs.BytesOnWire != int64(received) {
+		t.Fatalf("stats bytes %d, registry says %d", gs.BytesOnWire, received)
+	}
+	if want := int64(counter("riptide_fleet_serve_not_modified")); gs.NotModifiedRounds != want {
+		t.Fatalf("stats 304 rounds %d, servers answered %d", gs.NotModifiedRounds, want)
+	}
+	if got := counter("riptide_peer_pull_errors"); got != 0 {
+		t.Fatalf("%d pull errors over the in-process transport", got)
 	}
 }

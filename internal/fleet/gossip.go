@@ -2,11 +2,9 @@ package fleet
 
 import (
 	"fmt"
-	"net/http"
 	"strconv"
 	"strings"
 
-	"riptide/internal/core"
 	"riptide/internal/gossip"
 )
 
@@ -26,21 +24,6 @@ const DigestPath = "/fleet/digest"
 //	buckets=a,b,c     digest bucket indices to fetch in full (post-restart
 //	                  resync); mutually exclusive with since
 const DeltaPath = "/fleet/delta"
-
-// DigestHandler serves the agent's table digest as JSON on GET. It is a
-// single-endpoint convenience over Server; embeddings that mount all three
-// fleet endpoints should share one NewServer so the response cache is
-// shared too.
-func DigestHandler(agent *core.Agent, source, instance string) http.Handler {
-	return NewServer(agent, source, instance, nil).DigestHandler()
-}
-
-// DeltaHandler serves versioned deltas, bucket resyncs, and full tables as
-// JSON on GET (see DeltaPath for the request forms). Single-endpoint
-// convenience over Server.
-func DeltaHandler(agent *core.Agent, source, instance string) http.Handler {
-	return NewServer(agent, source, instance, nil).DeltaHandler()
-}
 
 // parseBuckets parses a comma-separated bucket index list, rejecting
 // out-of-range indices, unparseable input, and oversized lists, and

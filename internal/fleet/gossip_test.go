@@ -22,9 +22,7 @@ import (
 // riptided does.
 func gossipServer(a *core.Agent, source, instance string) *httptest.Server {
 	mux := http.NewServeMux()
-	mux.Handle(SnapshotPath, Handler(a, source, instance, func() time.Time { return time.Unix(1, 0) }))
-	mux.Handle(DigestPath, DigestHandler(a, source, instance))
-	mux.Handle(DeltaPath, DeltaHandler(a, source, instance))
+	NewServer(a, source, instance, func() time.Time { return time.Unix(1, 0) }).Register(mux)
 	return httptest.NewServer(mux)
 }
 
@@ -141,6 +139,50 @@ func TestGossipDeltaRoundCarriesOnlyChanges(t *testing.T) {
 	}
 }
 
+// TestGossipEntriesReceivedCounter: riptide_gossip_entries_received counts
+// the entries each round carried — the whole table on first contact,
+// nothing on a converged digest round, and exactly the delta's entries on
+// a delta round.
+func TestGossipEntriesReceivedCounter(t *testing.T) {
+	src, _, _ := newTestAgent(t, []core.Observation{
+		obs(t, "192.0.2.1", 40),
+		obs(t, "198.51.100.7", 80),
+	})
+	srv := gossipServer(src, "host-a", "boot-1")
+	defer srv.Close()
+
+	dst, _, _ := newTestAgent(t, nil)
+	received := dst.Metrics().Counter("riptide_gossip_entries_received")
+	p := newGossipPuller(t, dst, srv.URL)
+	p.PullOnce(context.Background()) // full
+	if got := received.Value(); got != 2 {
+		t.Fatalf("after full round received = %d, want 2", got)
+	}
+	p.PullOnce(context.Background()) // digest
+	if got := received.Value(); got != 2 {
+		t.Fatalf("after digest round received = %d, want 2", got)
+	}
+
+	since := src.TableVersion()
+	if _, err := src.MergeSnapshot([]core.SnapshotEntry{
+		{Prefix: netip.MustParsePrefix("203.0.113.9/32"), Window: 33, Samples: 4, Age: time.Second},
+		{Prefix: netip.MustParsePrefix("203.0.113.10/32"), Window: 34, Samples: 4, Age: time.Second},
+	}, core.MergePolicy{MaxAge: time.Hour}); err != nil {
+		t.Fatal(err)
+	}
+	delta := gossippkg.TableDelta(src, "host-a", "boot-1", since)
+	if len(delta.Entries) != 2 {
+		t.Fatalf("delta carries %d entries, want 2", len(delta.Entries))
+	}
+	p.PullOnce(context.Background())
+	if h := p.Health()[0]; h.Mode != ModeDelta {
+		t.Fatalf("health = %+v, want a delta round", h)
+	}
+	if got := received.Value(); got != 2+uint64(len(delta.Entries)) {
+		t.Fatalf("after delta round received = %d, want %d", got, 2+len(delta.Entries))
+	}
+}
+
 // TestGossipRestartBucketResync: when the peer restarts (new instance,
 // version counter reset) the puller does not re-fetch the whole table — it
 // diffs the remembered digest and fetches only the divergent buckets. The
@@ -161,9 +203,7 @@ func TestGossipRestartBucketResync(t *testing.T) {
 
 	mount := func(a *core.Agent, instance string) http.Handler {
 		mux := http.NewServeMux()
-		mux.Handle(SnapshotPath, Handler(a, "host-a", instance, nil))
-		mux.Handle(DigestPath, DigestHandler(a, "host-a", instance))
-		mux.Handle(DeltaPath, DeltaHandler(a, "host-a", instance))
+		NewServer(a, "host-a", instance, nil).Register(mux)
 		return mux
 	}
 	current = mount(src1, "boot-1")

@@ -43,15 +43,6 @@ const (
 	ModeSnapshot = "snapshot"
 )
 
-// Handler serves the agent's current snapshot as JSON on GET, gzipped when
-// the client accepts it. now supplies the CreatedUnixNano stamp; nil means
-// time.Now. instance stamps the snapshot with this agent run's identity so
-// gossip-aware pullers can seed their delta cursors from a full pull; pass
-// "" for none (persisted snapshots never carry one).
-func Handler(agent *core.Agent, source, instance string, now func() time.Time) http.Handler {
-	return NewServer(agent, source, instance, now).SnapshotHandler()
-}
-
 // NormalizePeerURL turns a peer spec from the -peers flag into a snapshot
 // URL: a bare host:port gets the http scheme and the snapshot path; a URL
 // with an explicit path is used as given.
@@ -504,10 +495,12 @@ func (p *Puller) pullGossip(ctx context.Context, base string, cursor peerCursor)
 	return stats, round, next, nil
 }
 
-// merge folds received entries into the agent, logging (not failing) route
+// merge folds received entries into the agent, counting them as received
+// whatever the merge policy makes of them, and logging (not failing) route
 // programming errors: they are the agent's problem, not the peer's — the
 // pull itself succeeded.
 func (p *Puller) merge(entries []core.SnapshotEntry, from string) core.MergeStats {
+	p.cfg.Agent.Metrics().Counter("riptide_gossip_entries_received").Add(uint64(len(entries)))
 	stats, err := p.cfg.Agent.MergeSnapshot(entries, p.cfg.Policy)
 	if err != nil && p.cfg.Logf != nil {
 		p.cfg.Logf("fleet: merge from %s: %v", from, err)

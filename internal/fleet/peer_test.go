@@ -12,7 +12,7 @@ import (
 
 func TestHandlerServesSnapshot(t *testing.T) {
 	a, _, _ := newTestAgent(t, []core.Observation{obs(t, "192.0.2.1", 40)})
-	srv := httptest.NewServer(Handler(a, "host-a", "", func() time.Time { return time.Unix(1700000000, 0) }))
+	srv := httptest.NewServer(NewServer(a, "host-a", "", func() time.Time { return time.Unix(1700000000, 0) }).SnapshotHandler())
 	defer srv.Close()
 
 	resp, err := http.Get(srv.URL)
@@ -39,7 +39,7 @@ func TestHandlerServesSnapshot(t *testing.T) {
 
 func TestHandlerRejectsNonGET(t *testing.T) {
 	a, _, _ := newTestAgent(t, nil)
-	srv := httptest.NewServer(Handler(a, "", "", nil))
+	srv := httptest.NewServer(NewServer(a, "", "", nil).SnapshotHandler())
 	defer srv.Close()
 	resp, err := http.Post(srv.URL, "application/json", nil)
 	if err != nil {
@@ -56,7 +56,7 @@ func TestPullerMergesFromPeer(t *testing.T) {
 		obs(t, "192.0.2.1", 40),
 		obs(t, "198.51.100.7", 80),
 	})
-	srv := httptest.NewServer(Handler(src, "host-a", "", nil))
+	srv := httptest.NewServer(NewServer(src, "host-a", "", nil).SnapshotHandler())
 	defer srv.Close()
 
 	dst, dstRoutes, _ := newTestAgent(t, nil)

@@ -59,8 +59,7 @@ type cachedBody struct {
 
 // Server serves the three fleet endpoints (digest, delta, snapshot) for one
 // agent with version-keyed response caching. Construct with NewServer and
-// mount the *Handler methods; the free functions DigestHandler /
-// DeltaHandler / Handler remain as single-endpoint conveniences.
+// mount all three with Register, so they share one response cache.
 //
 // Correctness note: entry-bearing bodies (delta, snapshot) embed per-entry
 // ages measured at encode time, and ages keep growing while the version
@@ -141,6 +140,14 @@ func (s *Server) Remint(instance string) {
 	s.bodies = [numKinds]cachedBody{}
 	s.etagOK = false
 	s.mu.Unlock()
+}
+
+// Register mounts the snapshot, digest, and delta endpoints on mux at
+// SnapshotPath, DigestPath, and DeltaPath.
+func (s *Server) Register(mux *http.ServeMux) {
+	mux.Handle(SnapshotPath, s.SnapshotHandler())
+	mux.Handle(DigestPath, s.DigestHandler())
+	mux.Handle(DeltaPath, s.DeltaHandler())
 }
 
 // etagFor renders the content token as a strong ETag. The documented shape

@@ -205,9 +205,9 @@ func (sp *Spec) executeRun(ov runOverrides) (map[string]float64, error) {
 	st := &runState{guardOn: riptideOn && guardSpec != nil}
 	st.winStart, st.winEnd = sp.phaseWindow()
 
-	gossipFull := ov.gossip != nil && !*ov.gossip
+	ladder := ov.gossip == nil || *ov.gossip
 	for _, ev := range sp.Events {
-		if err := applyEvent(c, ev, st, riptideOn, gossipFull, fleet.LossRate); err != nil {
+		if err := applyEvent(c, ev, st, riptideOn, ladder, fleet.LossRate); err != nil {
 			return nil, fmt.Errorf("event at %v (%s): %w", ev.At, ev.Kind, err)
 		}
 	}
@@ -270,7 +270,7 @@ func (sp *Spec) executeRun(ov runOverrides) (map[string]float64, error) {
 // applyEvent schedules one parsed event onto the cluster. Recovery-tracking
 // snapshots are scheduled before the event itself so the FIFO order at equal
 // timestamps reads the pre-reboot route count.
-func applyEvent(c *cdn.Cluster, ev Event, st *runState, riptideOn, gossipFull bool, baselineLoss float64) error {
+func applyEvent(c *cdn.Cluster, ev Event, st *runState, riptideOn, ladder bool, baselineLoss float64) error {
 	switch p := ev.Payload.(type) {
 	case *CapacityCutEvent:
 		return cdn.CapacityCut{
@@ -321,11 +321,7 @@ func applyEvent(c *cdn.Cluster, ev Event, st *runState, riptideOn, gossipFull bo
 				return err
 			}
 		}
-		mode := cdn.GossipMode(p.Mode)
-		if gossipFull {
-			mode = cdn.GossipFull
-		}
-		if err := c.EnableGossipSharing(p.Interval, core.MergePolicy{}, mode); err != nil {
+		if err := c.EnableGossipSharing(p.Interval, core.MergePolicy{}, ladder); err != nil {
 			return err
 		}
 		st.gossipOn = true

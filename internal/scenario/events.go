@@ -5,8 +5,6 @@ import (
 	"sort"
 	"strings"
 	"time"
-
-	"riptide/internal/cdn"
 )
 
 // eventKinds names every supported event, for error messages.
@@ -524,13 +522,12 @@ func parseGossipSharing(n *Node) (EventPayload, error) {
 	if err := needMap(n, "enable_gossip_sharing"); err != nil {
 		return nil, err
 	}
-	if err := checkKeys(n, "interval", "mode", "seed_entries"); err != nil {
+	if err := checkKeys(n, "interval", "seed_entries"); err != nil {
 		return nil, err
 	}
-	e := &GossipSharingEvent{Mode: string(cdn.GossipLadder)}
+	e := &GossipSharingEvent{}
 	for _, step := range []error{
-		getDur(n, "interval", &e.Interval), getStr(n, "mode", &e.Mode),
-		getInt(n, "seed_entries", &e.SeedEntries),
+		getDur(n, "interval", &e.Interval), getInt(n, "seed_entries", &e.SeedEntries),
 	} {
 		if step != nil {
 			return nil, step
@@ -542,9 +539,6 @@ func parseGossipSharing(n *Node) (EventPayload, error) {
 func (e *GossipSharingEvent) validate(pops map[string]bool, at, total time.Duration) error {
 	if e.Interval <= 0 {
 		return fmt.Errorf("interval %v must be positive", e.Interval)
-	}
-	if m := cdn.GossipMode(e.Mode); m != cdn.GossipLadder && m != cdn.GossipFull {
-		return fmt.Errorf("mode %q unknown (valid: %s %s)", e.Mode, cdn.GossipFull, cdn.GossipLadder)
 	}
 	if e.SeedEntries < 0 {
 		return fmt.Errorf("seed_entries %d must not be negative", e.SeedEntries)

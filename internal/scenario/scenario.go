@@ -103,10 +103,10 @@ type CompareSpec struct {
 	Riptide *bool
 	// Guard, when set false, strips the safety governor in the control run.
 	Guard *bool
-	// Gossip, when set false, downgrades the control run's gossip mode to
-	// "full" — same sync schedule, whole tables every round — so the
-	// assertions can price the anti-entropy ladder against the legacy
-	// full-snapshot cost model.
+	// Gossip, when set false, turns the control run's gossip ladder off —
+	// same sync schedule, a legacy full-snapshot pull every round — so the
+	// assertions can price the anti-entropy ladder against whole-table
+	// sync.
 	Gossip *bool
 }
 
@@ -205,14 +205,12 @@ type FleetSharingEvent struct {
 }
 
 // GossipSharingEvent enables cross-PoP anti-entropy table sync with full
-// wire-cost accounting (cdn.EnableGossipSharing). Mode is "ladder"
-// (digest/delta anti-entropy) or "full" (every round ships whole tables —
-// the legacy cost model). SeedEntries, when > 0, pre-populates every
-// agent's table with that many synthetic warm destinations, modeling a
-// long-lived back-office fleet whose table size a short run cannot grow.
+// wire-cost accounting (cdn.EnableGossipSharing). SeedEntries, when > 0,
+// pre-populates every agent's table with that many synthetic warm
+// destinations, modeling a long-lived back-office fleet whose table size a
+// short run cannot grow.
 type GossipSharingEvent struct {
 	Interval    time.Duration
-	Mode        string
 	SeedEntries int
 }
 
