@@ -11,6 +11,7 @@ package riptide
 
 import (
 	"fmt"
+	"io/fs"
 	"net/netip"
 	"os"
 	"runtime"
@@ -21,6 +22,8 @@ import (
 
 	"riptide/internal/experiments"
 	"riptide/internal/kernel"
+	"riptide/internal/scenario"
+	"riptide/scenarios"
 )
 
 func benchScale() experiments.Scale {
@@ -449,15 +452,32 @@ func BenchmarkExtensionAdvisorShift(b *testing.B) {
 	}
 }
 
-func benchmarkScenario(b *testing.B, name string) {
-	s := benchScale()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.ScenarioImpact(name, s); err != nil {
+// BenchmarkScenarioLibrary times one Spec.Run (main run, control run and
+// assertions) of each scenario library file.
+func BenchmarkScenarioLibrary(b *testing.B) {
+	names, err := fs.Glob(scenarios.Files, "*.yaml")
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, name := range names {
+		src, err := fs.ReadFile(scenarios.Files, name)
+		if err != nil {
 			b.Fatal(err)
 		}
+		sp, err := scenario.Parse(src)
+		if err != nil {
+			b.Fatalf("%s: %v", name, err)
+		}
+		b.Run(strings.TrimSuffix(name, ".yaml"), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				rep, err := sp.Run()
+				if err != nil {
+					b.Fatal(err)
+				}
+				if !rep.Pass {
+					b.Fatalf("%s failed its assertions", name)
+				}
+			}
+		})
 	}
 }
-
-func BenchmarkScenarioFlashCrowd(b *testing.B)  { benchmarkScenario(b, "flashcrowd") }
-func BenchmarkScenarioDegradation(b *testing.B) { benchmarkScenario(b, "degradation") }
-func BenchmarkScenarioReboots(b *testing.B)     { benchmarkScenario(b, "reboots") }

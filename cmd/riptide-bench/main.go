@@ -1,8 +1,8 @@
 // Command riptide-bench runs every experiment in the reproduction — the
 // analytic figures, the cluster evaluation, the design-choice ablations, the
-// Section V extensions, and the operational scenarios — and writes a single
-// markdown report with the paper-vs-measured comparison. EXPERIMENTS.md and
-// docs/REPORT.md are generated from this tool's output.
+// Section V extensions, and the scenario library (scenarios/*.yaml) — and
+// writes a single markdown report with the paper-vs-measured comparison.
+// EXPERIMENTS.md and docs/REPORT.md are generated from this tool's output.
 //
 // Independent experiments run concurrently across CPU cores; output order
 // stays deterministic.
@@ -21,10 +21,13 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"io/fs"
 	"log"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -32,6 +35,8 @@ import (
 
 	"riptide/internal/experiments"
 	"riptide/internal/perf"
+	"riptide/internal/scenario"
+	"riptide/scenarios"
 )
 
 func main() {
@@ -221,17 +226,12 @@ func report(w io.Writer, s experiments.Scale, seed int64, n int, seriesDir strin
 		{run: func() (experiments.Result, error) { return experiments.Headline(s) }},
 		{section: "Extensions (Section V)", run: func() (experiments.Result, error) { return experiments.ExtensionTrendReaction(seed) }},
 		{run: func() (experiments.Result, error) { return experiments.ExtensionAdvisorShift(seed) }},
-		{section: "Fleet sharing", run: func() (experiments.Result, error) { return experiments.FleetWarmStart(s) }},
-		{section: "Safety governor", run: func() (experiments.Result, error) { return experiments.GuardCapacityCut(seed) }},
 	}
-	for i, name := range experiments.ScenarioNames() {
-		name := name
-		j := job{run: func() (experiments.Result, error) { return experiments.ScenarioImpact(name, s) }}
-		if i == 0 {
-			j.section = "Operational scenarios"
-		}
-		jobs = append(jobs, j)
+	scenarioJobs, err := libraryJobs()
+	if err != nil {
+		return err
 	}
+	jobs = append(jobs, scenarioJobs...)
 	ablations := []func(experiments.Scale) (experiments.Result, error){
 		experiments.AblationCombiners,
 		experiments.AblationHistory,
@@ -266,6 +266,113 @@ func report(w io.Writer, s experiments.Scale, seed int64, n int, seriesDir strin
 		}
 	}
 	return nil
+}
+
+// scenarioSections files scenario library reports under their report
+// section; every other library file lands under "Operational scenarios".
+var scenarioSections = []struct {
+	section string
+	files   []string
+}{
+	{"Fleet sharing", []string{"fleet-warm-start.yaml", "gossip-cold-region.yaml"}},
+	{"Safety governor", []string{"guard-capacity-cut.yaml"}},
+}
+
+// libraryJobs runs every scenario library file, each at the seed its file
+// states (the seed its assertions were measured at), grouped by section.
+func libraryJobs() ([]job, error) {
+	names, err := fs.Glob(scenarios.Files, "*.yaml")
+	if err != nil {
+		return nil, err
+	}
+	placed := make(map[string]bool)
+	var jobs []job
+	add := func(section string, files []string) {
+		for i, file := range files {
+			j := job{run: func() (experiments.Result, error) { return scenarioResult(file) }}
+			if i == 0 {
+				j.section = section
+			}
+			jobs = append(jobs, j)
+			placed[file] = true
+		}
+	}
+	for _, sec := range scenarioSections {
+		add(sec.section, sec.files)
+	}
+	var rest []string
+	for _, name := range names {
+		if !placed[name] {
+			rest = append(rest, name)
+		}
+	}
+	add("Operational scenarios", rest)
+	return jobs, nil
+}
+
+// scenarioResult runs one scenario library file and renders its report:
+// one metric table with a column per run, and a note per assertion.
+func scenarioResult(file string) (experiments.Result, error) {
+	src, err := fs.ReadFile(scenarios.Files, file)
+	if err != nil {
+		return experiments.Result{}, err
+	}
+	sp, err := scenario.Parse(src)
+	if err != nil {
+		return experiments.Result{}, fmt.Errorf("%s: %w", file, err)
+	}
+	rep, err := sp.Run()
+	if err != nil {
+		return experiments.Result{}, fmt.Errorf("%s: %w", file, err)
+	}
+
+	tbl := experiments.Table{
+		Title: fmt.Sprintf("scenarios/%s, seed %d, %s simulated; phases before %s, during %s, after %s",
+			file, rep.Seed, rep.Duration, rep.Phases.Before, rep.Phases.During, rep.Phases.After),
+		Header: []string{"metric"},
+	}
+	values := make(map[string][]string)
+	var order []string
+	for ri, run := range rep.Runs {
+		tbl.Header = append(tbl.Header, run.Name)
+		for _, m := range run.Metrics {
+			if values[m.Name] == nil {
+				values[m.Name] = make([]string, len(rep.Runs))
+				order = append(order, m.Name)
+			}
+			values[m.Name][ri] = formatMetric(m.Value)
+		}
+	}
+	sort.Strings(order)
+	for _, name := range order {
+		row := []string{name}
+		for _, v := range values[name] {
+			if v == "" {
+				v = "-"
+			}
+			row = append(row, v)
+		}
+		tbl.Rows = append(tbl.Rows, row)
+	}
+
+	res := experiments.Result{ID: "scenario-" + rep.Scenario, Title: rep.Description, Tables: []experiments.Table{tbl}}
+	for _, a := range rep.Assertions {
+		verdict := "holds"
+		if !a.Pass {
+			verdict = "FAILED"
+		}
+		res.Notes = append(res.Notes, fmt.Sprintf("`%s` %s (%s vs %s)", a.Source, verdict, formatMetric(a.LHS), formatMetric(a.RHS)))
+	}
+	return res, nil
+}
+
+// formatMetric prints counts as integers and everything else to two
+// decimals.
+func formatMetric(v float64) string {
+	if v == math.Trunc(v) {
+		return strconv.FormatFloat(v, 'f', 0, 64)
+	}
+	return strconv.FormatFloat(v, 'f', 2, 64)
 }
 
 // executeJobs runs all jobs through a bounded worker pool, preserving order.

@@ -168,14 +168,8 @@ func runExperiments(args []string) error {
 			return experiments.ExtensionAdvisorShift(*seed)
 		},
 	}
-	for _, name := range experiments.ScenarioNames() {
-		name := name
-		runners["scenario-"+name] = func() (experiments.Result, error) {
-			return experiments.ScenarioImpact(name, s)
-		}
-	}
 	order := []string{"table2", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15", "fig16", "edge", "headline",
-		"ext-trend", "ext-advisor", "scenario-flashcrowd", "scenario-degradation", "scenario-reboots"}
+		"ext-trend", "ext-advisor"}
 
 	selected := order
 	if *exp != "all" {

@@ -94,10 +94,14 @@ func TestUnknownExperimentListsValidNames(t *testing.T) {
 	if err == nil {
 		t.Fatal("unknown experiment accepted")
 	}
-	for _, want := range []string{"valid:", "fig10", "headline", "scenario-flashcrowd", "all"} {
+	for _, want := range []string{"valid:", "fig10", "headline", "ext-trend", "all"} {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("error %q does not list %q", err, want)
 		}
+	}
+	// Scenarios run through `riptide-sim run <file>.yaml`, not -exp.
+	if strings.Contains(err.Error(), "scenario-") {
+		t.Errorf("error %q still lists a scenario runner", err)
 	}
 }
 

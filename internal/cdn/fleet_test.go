@@ -3,53 +3,10 @@ package cdn
 import (
 	"testing"
 	"time"
-
-	"riptide/internal/core"
 )
 
-func newFleetCluster(t *testing.T, share bool) *Cluster {
-	t.Helper()
-	c, err := NewCluster(Config{
-		PoPs:        smallTopology(),
-		HostsPerPoP: 2,
-		Seed:        1,
-		LossRate:    0.001,
-		Riptide:     RiptideOptions{Enabled: true, TTL: 10 * time.Minute},
-		Traffic: TrafficOptions{
-			ProbeInterval: 30 * time.Second,
-			IdleTimeout:   time.Minute,
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if share {
-		if err := c.EnableFleetSharing(5*time.Second, core.MergePolicy{}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return c
-}
-
-func TestEnableFleetSharingValidation(t *testing.T) {
-	c := newFleetCluster(t, false)
-	defer c.Stop()
-	if err := c.EnableFleetSharing(0, core.MergePolicy{}); err == nil {
-		t.Error("zero interval accepted")
-	}
-
-	noRiptide, err := NewCluster(Config{PoPs: smallTopology(), Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer noRiptide.Stop()
-	if err := noRiptide.EnableFleetSharing(5*time.Second, core.MergePolicy{}); err == nil {
-		t.Error("fleet sharing without riptide accepted")
-	}
-}
-
 func TestRebootHostValidation(t *testing.T) {
-	c := newFleetCluster(t, false)
+	c := newGossipFleet(t)
 	defer c.Stop()
 	if _, err := c.RebootHost("atlantis", 0); err == nil {
 		t.Error("unknown PoP accepted")
@@ -65,7 +22,7 @@ func TestRebootHostValidation(t *testing.T) {
 // TestRebootHostWipesOneMachine: rebooting machine 0 clears its agent state
 // and routes while machine 1 of the same PoP keeps its learned table.
 func TestRebootHostWipesOneMachine(t *testing.T) {
-	c := newFleetCluster(t, false)
+	c := newGossipFleet(t)
 	defer c.Stop()
 	c.Run(5 * time.Minute)
 
@@ -99,11 +56,11 @@ func TestRebootHostWipesOneMachine(t *testing.T) {
 	}
 }
 
-// TestFleetSharingSeedsSibling: with sharing on, a rebooted machine regains
-// entries from its sibling within a couple of exchange intervals — far
+// TestFleetSharingSeedsSibling: with gossip on, a rebooted machine regains
+// entries from its peers within a couple of exchange intervals — far
 // before the next probe round could have re-taught it.
 func TestFleetSharingSeedsSibling(t *testing.T) {
-	c := newFleetCluster(t, true)
+	c := newGossipCluster(t, true)
 	defer c.Stop()
 	c.Run(5 * time.Minute)
 
@@ -128,18 +85,18 @@ func TestFleetSharingSeedsSibling(t *testing.T) {
 }
 
 // TestFleetSharingLocalWins: merged hints never displace locally observed
-// entries — after a full probe round, the sibling's repeated snapshots must
-// not overwrite what the agent sees itself.
+// entries — after a full probe round, the peers' repeated tables must not
+// overwrite what the agent sees itself.
 func TestFleetSharingLocalWins(t *testing.T) {
-	c := newFleetCluster(t, true)
+	c := newGossipCluster(t, true)
 	defer c.Stop()
 	c.Run(5 * time.Minute)
 
 	agent := c.AgentAt("lhr", 0)
 	s := agent.Stats()
-	// Sharing runs every 5s against a sibling with overlapping coverage:
-	// the overwhelming majority of remote entries must be rejected in
-	// favour of local state.
+	// Gossip runs every 5s against a sibling with overlapping coverage:
+	// remote entries for destinations the agent observes itself must be
+	// rejected in favour of local state.
 	if s.FleetSkippedLocal == 0 {
 		t.Errorf("stats = %+v, want FleetSkippedLocal > 0 (local observations win)", s)
 	}

@@ -45,8 +45,7 @@ type GossipStats struct {
 // real gzip response. With gossip set the pullers walk the
 // digest→delta→buckets→full ladder; without it every round is a legacy
 // /fleet/snapshot pull of the whole table, the control arm that prices the
-// ladder. Unlike EnableFleetSharing (same-PoP full-table merges with no
-// cost model), the wire cost is accounted in GossipStats. Call before Run;
+// ladder. The wire cost is accounted in GossipStats. Call before Run;
 // requires Riptide to be enabled.
 func (c *Cluster) EnableGossipSharing(interval time.Duration, policy core.MergePolicy, gossip bool) error {
 	if interval <= 0 {

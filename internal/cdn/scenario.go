@@ -8,10 +8,10 @@ import (
 	"riptide/internal/netsim"
 )
 
-// This file provides operational scenarios — scripted fault and traffic
-// events layered onto a running Cluster — so experiments can measure how
-// Riptide behaves through the incidents the paper's Section II motivates:
-// load shifts, path congestion, and state-destroying maintenance.
+// This file provides the incident primitives — fault and traffic knobs on a
+// running Cluster — that the scenario engine (internal/scenario) schedules
+// to reproduce the incidents the paper's Section II motivates: load shifts,
+// path congestion, and state-destroying maintenance.
 
 // SetPoPPathLoss sets the random loss rate on every path into and out of
 // the named PoP, the blast radius of a regional network degradation.
@@ -197,338 +197,3 @@ func (c *Cluster) ScheduleAt(after time.Duration, fn func()) error {
 	_, err := c.engine.Schedule(after, fn)
 	return err
 }
-
-// Scenario is a scripted sequence of events applied to a cluster before it
-// runs. Apply installs the events; the caller then drives Cluster.Run.
-type Scenario interface {
-	// Name identifies the scenario in reports.
-	Name() string
-	// Apply schedules the scenario's events onto the cluster.
-	Apply(c *Cluster) error
-	// Window returns when the disruption is active, for phase-based
-	// analysis: [start, end) in simulated time from Apply.
-	Window() (start, end time.Duration)
-	// AffectedPoPs names the sites the disruption touches, so analyses
-	// can focus on traffic involving them.
-	AffectedPoPs() []string
-}
-
-// FlashCrowd models a sudden burst of extra transfers from every PoP toward
-// one target PoP — a viral object or a failed-over tenant.
-type FlashCrowd struct {
-	// Target is the PoP absorbing the crowd.
-	Target string
-	// At is when the crowd arrives; For is how long it lasts.
-	At, For time.Duration
-	// RatePerPoP is extra transfers per second from each other PoP.
-	RatePerPoP float64
-	// SizeBytes is the object size fetched; defaults to 100 KB.
-	SizeBytes int64
-}
-
-// Name implements Scenario.
-func (f FlashCrowd) Name() string { return "flash-crowd" }
-
-// Window implements Scenario.
-func (f FlashCrowd) Window() (time.Duration, time.Duration) { return f.At, f.At + f.For }
-
-// AffectedPoPs implements Scenario.
-func (f FlashCrowd) AffectedPoPs() []string { return []string{f.Target} }
-
-// Apply implements Scenario.
-func (f FlashCrowd) Apply(c *Cluster) error {
-	if _, ok := c.byName[f.Target]; !ok {
-		return fmt.Errorf("cdn: flash crowd target %q unknown", f.Target)
-	}
-	if f.RatePerPoP <= 0 || f.For <= 0 {
-		return fmt.Errorf("cdn: flash crowd needs positive rate and duration")
-	}
-	if f.At < 0 {
-		return fmt.Errorf("cdn: flash crowd start %v must not be negative", f.At)
-	}
-	if f.SizeBytes < 0 {
-		return fmt.Errorf("cdn: flash crowd size %d bytes must not be negative", f.SizeBytes)
-	}
-	size := f.SizeBytes
-	if size == 0 {
-		size = 100 * 1024
-	}
-	// Fixed-interval injections approximate the burst deterministically.
-	gap := time.Duration(float64(time.Second) / f.RatePerPoP)
-	for _, src := range c.pops {
-		if src.Name == f.Target {
-			continue
-		}
-		srcName := src.Name
-		for off := f.At; off < f.At+f.For; off += gap {
-			if err := c.ScheduleAt(off, func() {
-				// Fetch FROM the target: the crowd pulls the
-				// object, so the hot data flows target -> edge.
-				_ = c.InjectTransfer(f.Target, srcName, size, nil)
-			}); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// RegionalDegradation raises loss on every path touching one PoP for a
-// window, then restores the baseline.
-type RegionalDegradation struct {
-	// PoP is the degraded site.
-	PoP string
-	// At / For bound the episode.
-	At, For time.Duration
-	// LossRate is the degraded per-segment loss.
-	LossRate float64
-	// BaselineLoss is restored afterwards (the cluster's configured WAN
-	// loss rate).
-	BaselineLoss float64
-}
-
-// Name implements Scenario.
-func (d RegionalDegradation) Name() string { return "regional-degradation" }
-
-// Window implements Scenario.
-func (d RegionalDegradation) Window() (time.Duration, time.Duration) { return d.At, d.At + d.For }
-
-// AffectedPoPs implements Scenario.
-func (d RegionalDegradation) AffectedPoPs() []string { return []string{d.PoP} }
-
-// Apply implements Scenario.
-func (d RegionalDegradation) Apply(c *Cluster) error {
-	if _, ok := c.byName[d.PoP]; !ok {
-		return fmt.Errorf("cdn: degradation PoP %q unknown", d.PoP)
-	}
-	if d.For <= 0 || d.LossRate <= 0 || d.LossRate >= 1 {
-		return fmt.Errorf("cdn: degradation needs positive duration and loss in (0,1)")
-	}
-	if err := c.ScheduleAt(d.At, func() {
-		_ = c.SetPoPPathLoss(d.PoP, d.LossRate)
-	}); err != nil {
-		return err
-	}
-	return c.ScheduleAt(d.At+d.For, func() {
-		_ = c.SetPoPPathLoss(d.PoP, d.BaselineLoss)
-	})
-}
-
-// RollingReboots reboots a list of PoPs one after another — a maintenance
-// wave, the paper's Section II-A state-loss event at fleet scale.
-type RollingReboots struct {
-	// PoPs reboot in order.
-	PoPs []string
-	// Start is the first reboot; Interval separates subsequent ones.
-	Start, Interval time.Duration
-}
-
-// Name implements Scenario.
-func (r RollingReboots) Name() string { return "rolling-reboots" }
-
-// Window implements Scenario.
-func (r RollingReboots) Window() (time.Duration, time.Duration) {
-	if len(r.PoPs) == 0 {
-		return r.Start, r.Start
-	}
-	return r.Start, r.Start + time.Duration(len(r.PoPs)-1)*r.Interval + r.Interval
-}
-
-// AffectedPoPs implements Scenario.
-func (r RollingReboots) AffectedPoPs() []string {
-	out := make([]string, len(r.PoPs))
-	copy(out, r.PoPs)
-	return out
-}
-
-// Apply implements Scenario.
-func (r RollingReboots) Apply(c *Cluster) error {
-	if len(r.PoPs) == 0 {
-		return fmt.Errorf("cdn: rolling reboots needs at least one PoP")
-	}
-	if r.Interval <= 0 {
-		return fmt.Errorf("cdn: rolling reboots needs a positive interval")
-	}
-	for i, name := range r.PoPs {
-		if _, ok := c.byName[name]; !ok {
-			return fmt.Errorf("cdn: reboot PoP %q unknown", name)
-		}
-		name := name
-		if err := c.ScheduleAt(r.Start+time.Duration(i)*r.Interval, func() {
-			_, _ = c.RebootPoP(name)
-		}); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// CapacityCut collapses the bottleneck capacity of the WAN paths touching
-// one PoP — the mid-run event the safety governor exists for. With From set
-// the cut is confined to the From<->PoP pair; otherwise every path in and out
-// of the PoP shrinks. A zero For makes the cut permanent.
-type CapacityCut struct {
-	// PoP is the site whose paths are cut.
-	PoP string
-	// From, when non-empty, restricts the cut to the From<->PoP pair.
-	From string
-	// At is when capacity collapses; For is how long (0 = permanent).
-	At, For time.Duration
-	// Segments is the post-cut capacity (segments per RTT, >= 1).
-	Segments int
-	// RestoreSegments is reinstated at At+For when For > 0 (0 = unlimited).
-	RestoreSegments int
-}
-
-// Name implements Scenario.
-func (cc CapacityCut) Name() string { return "capacity-cut" }
-
-// Window implements Scenario.
-func (cc CapacityCut) Window() (time.Duration, time.Duration) { return cc.At, cc.At + cc.For }
-
-// AffectedPoPs implements Scenario.
-func (cc CapacityCut) AffectedPoPs() []string {
-	if cc.From != "" {
-		return []string{cc.PoP, cc.From}
-	}
-	return []string{cc.PoP}
-}
-
-func (cc CapacityCut) set(c *Cluster, segments int) error {
-	if cc.From != "" {
-		return c.SetPoPPairCapacity(cc.From, cc.PoP, segments)
-	}
-	return c.SetPoPPathCapacity(cc.PoP, segments)
-}
-
-// Apply implements Scenario.
-func (cc CapacityCut) Apply(c *Cluster) error {
-	if _, ok := c.byName[cc.PoP]; !ok {
-		return fmt.Errorf("cdn: capacity cut PoP %q unknown", cc.PoP)
-	}
-	if cc.From != "" {
-		if _, ok := c.byName[cc.From]; !ok {
-			return fmt.Errorf("cdn: capacity cut PoP %q unknown", cc.From)
-		}
-		if cc.From == cc.PoP {
-			return fmt.Errorf("cdn: capacity cut pair needs two distinct PoPs, got %q twice", cc.PoP)
-		}
-	}
-	if cc.At < 0 || cc.For < 0 {
-		return fmt.Errorf("cdn: capacity cut times must not be negative")
-	}
-	if cc.Segments < 1 {
-		return fmt.Errorf("cdn: capacity cut to %d segments/RTT must be >= 1", cc.Segments)
-	}
-	if cc.RestoreSegments < 0 {
-		return fmt.Errorf("cdn: capacity restore %d segments/RTT must be >= 0", cc.RestoreSegments)
-	}
-	if err := c.ScheduleAt(cc.At, func() {
-		_ = cc.set(c, cc.Segments)
-	}); err != nil {
-		return err
-	}
-	if cc.For == 0 {
-		return nil
-	}
-	return c.ScheduleAt(cc.At+cc.For, func() {
-		_ = cc.set(c, cc.RestoreSegments)
-	})
-}
-
-// PathFlap models a route change between two PoPs: for a window, the paths
-// between them run at a multiple of their topology RTT (traffic detoured onto
-// a longer backbone route), then snap back.
-type PathFlap struct {
-	// A and B are the PoPs whose interconnect flaps.
-	A, B string
-	// At / For bound the episode.
-	At, For time.Duration
-	// RTTScale multiplies the pair's baseline RTT during the window
-	// (e.g. 2.0 = detour twice as long). Must be positive.
-	RTTScale float64
-}
-
-// Name implements Scenario.
-func (f PathFlap) Name() string { return "path-flap" }
-
-// Window implements Scenario.
-func (f PathFlap) Window() (time.Duration, time.Duration) { return f.At, f.At + f.For }
-
-// AffectedPoPs implements Scenario.
-func (f PathFlap) AffectedPoPs() []string { return []string{f.A, f.B} }
-
-// Apply implements Scenario.
-func (f PathFlap) Apply(c *Cluster) error {
-	base, err := c.BaselinePairRTT(f.A, f.B)
-	if err != nil {
-		return err
-	}
-	if f.A == f.B {
-		return fmt.Errorf("cdn: path flap needs two distinct PoPs, got %q twice", f.A)
-	}
-	if f.At < 0 || f.For <= 0 {
-		return fmt.Errorf("cdn: path flap needs a non-negative start and positive duration")
-	}
-	if f.RTTScale <= 0 {
-		return fmt.Errorf("cdn: path flap RTT scale %v must be positive", f.RTTScale)
-	}
-	flapped := time.Duration(float64(base) * f.RTTScale)
-	if flapped <= 0 {
-		return fmt.Errorf("cdn: path flap RTT scale %v underflows the %v baseline", f.RTTScale, base)
-	}
-	if err := c.ScheduleAt(f.At, func() {
-		_ = c.SetPoPPairRTT(f.A, f.B, flapped)
-	}); err != nil {
-		return err
-	}
-	return c.ScheduleAt(f.At+f.For, func() {
-		_ = c.SetPoPPairRTT(f.A, f.B, base)
-	})
-}
-
-// PeerPartition severs connectivity between two PoPs for a window: existing
-// connections between them die, new opens fail, and traffic resumes when the
-// partition heals.
-type PeerPartition struct {
-	// A and B are the partitioned PoPs.
-	A, B string
-	// At / For bound the partition.
-	At, For time.Duration
-}
-
-// Name implements Scenario.
-func (p PeerPartition) Name() string { return "peer-partition" }
-
-// Window implements Scenario.
-func (p PeerPartition) Window() (time.Duration, time.Duration) { return p.At, p.At + p.For }
-
-// AffectedPoPs implements Scenario.
-func (p PeerPartition) AffectedPoPs() []string { return []string{p.A, p.B} }
-
-// Apply implements Scenario.
-func (p PeerPartition) Apply(c *Cluster) error {
-	if _, _, err := c.pairHosts(p.A, p.B); err != nil {
-		return err
-	}
-	if p.At < 0 || p.For <= 0 {
-		return fmt.Errorf("cdn: peer partition needs a non-negative start and positive duration")
-	}
-	if err := c.ScheduleAt(p.At, func() {
-		_, _ = c.PartitionPoPs(p.A, p.B, true)
-	}); err != nil {
-		return err
-	}
-	return c.ScheduleAt(p.At+p.For, func() {
-		_, _ = c.PartitionPoPs(p.A, p.B, false)
-	})
-}
-
-var (
-	_ Scenario = FlashCrowd{}
-	_ Scenario = RegionalDegradation{}
-	_ Scenario = RollingReboots{}
-	_ Scenario = CapacityCut{}
-	_ Scenario = PathFlap{}
-	_ Scenario = PeerPartition{}
-)

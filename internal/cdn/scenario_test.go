@@ -41,182 +41,28 @@ func TestInjectTransferValidation(t *testing.T) {
 	c.Stop()
 }
 
-func TestFlashCrowdScenario(t *testing.T) {
-	c := newSmallCluster(t, false, 43)
-	crowd := FlashCrowd{
-		Target:     "lhr",
-		At:         time.Minute,
-		For:        time.Minute,
-		RatePerPoP: 2,
-	}
-	if s, e := crowd.Window(); s != time.Minute || e != 2*time.Minute {
-		t.Errorf("window = %v..%v", s, e)
-	}
-	before := c.Engine().Fired()
-	if err := crowd.Apply(c); err != nil {
-		t.Fatal(err)
-	}
-	_ = before
-	c.Run(3 * time.Minute)
-	// The crowd pulls from lhr: lhr's host must have opened extra
-	// outbound connections beyond probe traffic.
-	h, _ := c.Host("lhr")
-	_ = h
-	c.Stop()
-
-	// Validation paths.
-	if err := (FlashCrowd{Target: "nope", At: 0, For: time.Second, RatePerPoP: 1}).Apply(c); err == nil {
-		t.Error("unknown target accepted")
-	}
-	if err := (FlashCrowd{Target: "lhr"}).Apply(c); err == nil {
-		t.Error("zero rate accepted")
-	}
-}
-
-func TestFlashCrowdIncreasesTargetLoad(t *testing.T) {
-	transfers := func(withCrowd bool) uint64 {
-		c := newSmallCluster(t, false, 44)
-		if withCrowd {
-			if err := (FlashCrowd{Target: "lhr", At: 30 * time.Second, For: time.Minute, RatePerPoP: 3}).Apply(c); err != nil {
-				t.Fatal(err)
-			}
+// TestPoPPairValidation: every pair primitive rejects unknown PoPs and a
+// PoP paired with itself before touching the network.
+func TestPoPPairValidation(t *testing.T) {
+	c := newSmallCluster(t, false, 47)
+	defer c.Stop()
+	for _, pair := range [][2]string{{"lhr", "nope"}, {"nope", "lhr"}, {"lhr", "lhr"}} {
+		a, b := pair[0], pair[1]
+		if err := c.SetPoPPairCapacity(a, b, 10); err == nil {
+			t.Errorf("SetPoPPairCapacity(%s, %s) accepted", a, b)
 		}
-		c.Run(2 * time.Minute)
-		defer c.Stop()
-		return c.Engine().Fired()
+		if err := c.SetPoPPairRTT(a, b, time.Second); err == nil {
+			t.Errorf("SetPoPPairRTT(%s, %s) accepted", a, b)
+		}
+		if _, err := c.PartitionPoPs(a, b, true); err == nil {
+			t.Errorf("PartitionPoPs(%s, %s) accepted", a, b)
+		}
 	}
-	if base, crowd := transfers(false), transfers(true); crowd <= base {
-		t.Errorf("crowd events %d <= baseline %d", crowd, base)
+	if _, err := c.BaselinePairRTT("lhr", "nope"); err == nil {
+		t.Error("BaselinePairRTT with an unknown PoP accepted")
 	}
-}
-
-func TestRegionalDegradationScenario(t *testing.T) {
-	c := newSmallCluster(t, false, 45)
-	deg := RegionalDegradation{
-		PoP:          "nrt",
-		At:           30 * time.Second,
-		For:          time.Minute,
-		LossRate:     0.3,
-		BaselineLoss: 0.001,
-	}
-	if err := deg.Apply(c); err != nil {
-		t.Fatal(err)
-	}
-
-	// During the episode, transfers to nrt are lossy.
-	var during netsim.TransferResult
-	_ = c.ScheduleAt(45*time.Second, func() {
-		_ = c.InjectTransfer("lhr", "nrt", 512*1024, func(r netsim.TransferResult) { during = r })
-	})
-	// Afterwards the path heals.
-	var after netsim.TransferResult
-	_ = c.ScheduleAt(2*time.Minute, func() {
-		_ = c.InjectTransfer("lhr", "nrt", 512*1024, func(r netsim.TransferResult) { after = r })
-	})
-	c.Run(4 * time.Minute)
-	c.Stop()
-	if during.Retransmits == 0 {
-		t.Error("no retransmits during the degradation window")
-	}
-	if after.Retransmits >= during.Retransmits {
-		t.Errorf("after-heal retransmits %d >= during %d", after.Retransmits, during.Retransmits)
-	}
-
-	if err := (RegionalDegradation{PoP: "nope", For: time.Second, LossRate: 0.1}).Apply(c); err == nil {
-		t.Error("unknown PoP accepted")
-	}
-	if err := (RegionalDegradation{PoP: "nrt", For: time.Second, LossRate: 2}).Apply(c); err == nil {
-		t.Error("loss >= 1 accepted")
-	}
-}
-
-func TestRollingRebootsScenario(t *testing.T) {
-	c, err := NewCluster(Config{
-		PoPs:    smallTopology(),
-		Seed:    46,
-		Riptide: RiptideOptions{Enabled: true},
-		Traffic: TrafficOptions{
-			ProbeInterval: 20 * time.Second,
-			OrganicRates:  map[string]float64{"lhr": 2, "jfk": 2, "fra": 2, "nrt": 2},
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Run(2 * time.Minute)
-	agentsBefore := map[string]bool{}
-	for _, p := range c.PoPs() {
-		agentsBefore[p.Name] = c.Agent(p.Name) != nil
-	}
-
-	wave := RollingReboots{
-		PoPs:     []string{"lhr", "fra"},
-		Start:    10 * time.Second,
-		Interval: 30 * time.Second,
-	}
-	if s, e := wave.Window(); s != 10*time.Second || e != 70*time.Second {
-		t.Errorf("window = %v..%v", s, e)
-	}
-	lhrBefore := c.Agent("lhr")
-	if err := wave.Apply(c); err != nil {
-		t.Fatal(err)
-	}
-	c.Run(3 * time.Minute)
-	if c.Agent("lhr") == lhrBefore {
-		t.Error("lhr agent not replaced by rolling reboot")
-	}
-	// The rebooted PoPs relearn afterwards.
-	if len(c.Agent("lhr").Entries()) == 0 {
-		t.Error("lhr never relearned after reboot wave")
-	}
-	c.Stop()
-
-	if err := (RollingReboots{}).Apply(c); err == nil {
-		t.Error("empty PoP list accepted")
-	}
-	if err := (RollingReboots{PoPs: []string{"lhr"}}).Apply(c); err == nil {
-		t.Error("zero interval accepted")
-	}
-	if err := (RollingReboots{PoPs: []string{"nope"}, Interval: time.Second}).Apply(c); err == nil {
-		t.Error("unknown PoP accepted")
-	}
-}
-
-func TestScenarioMetadata(t *testing.T) {
-	crowd := FlashCrowd{Target: "lhr"}
-	if crowd.Name() != "flash-crowd" {
-		t.Errorf("name = %q", crowd.Name())
-	}
-	if got := crowd.AffectedPoPs(); len(got) != 1 || got[0] != "lhr" {
-		t.Errorf("affected = %v", got)
-	}
-
-	deg := RegionalDegradation{PoP: "nrt", At: time.Minute, For: time.Minute}
-	if deg.Name() != "regional-degradation" {
-		t.Errorf("name = %q", deg.Name())
-	}
-	if s, e := deg.Window(); s != time.Minute || e != 2*time.Minute {
-		t.Errorf("window = %v..%v", s, e)
-	}
-	if got := deg.AffectedPoPs(); len(got) != 1 || got[0] != "nrt" {
-		t.Errorf("affected = %v", got)
-	}
-
-	wave := RollingReboots{PoPs: []string{"a", "b"}, Interval: time.Second}
-	if wave.Name() != "rolling-reboots" {
-		t.Errorf("name = %q", wave.Name())
-	}
-	got := wave.AffectedPoPs()
-	if len(got) != 2 {
-		t.Fatalf("affected = %v", got)
-	}
-	got[0] = "mutated"
-	if wave.PoPs[0] != "a" {
-		t.Error("AffectedPoPs result aliases internal slice")
-	}
-	empty := RollingReboots{}
-	if s, e := empty.Window(); s != 0 || e != 0 {
-		t.Errorf("empty window = %v..%v", s, e)
+	if err := c.SetPoPPathCapacity("nope", 10); err == nil {
+		t.Error("SetPoPPathCapacity with an unknown PoP accepted")
 	}
 }
 
@@ -226,172 +72,6 @@ func TestRTTBucketString(t *testing.T) {
 	}
 	if RTTBucket(99).String() == "" {
 		t.Error("unknown bucket empty")
-	}
-}
-
-func TestCapacityCutScenario(t *testing.T) {
-	c, err := NewCluster(Config{
-		PoPs:             smallTopology(),
-		Seed:             47,
-		CapacitySegments: 400,
-		Riptide:          RiptideOptions{Enabled: false},
-		Traffic:          TrafficOptions{ProbeInterval: 30 * time.Second},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cut := CapacityCut{
-		PoP:             "nrt",
-		From:            "lhr",
-		At:              10 * time.Second,
-		For:             time.Minute,
-		Segments:        5,
-		RestoreSegments: 400,
-	}
-	if err := cut.Apply(c); err != nil {
-		t.Fatal(err)
-	}
-	var during, after netsim.TransferResult
-	_ = c.ScheduleAt(20*time.Second, func() {
-		_ = c.InjectTransfer("lhr", "nrt", 512*1024, func(r netsim.TransferResult) { during = r })
-	})
-	_ = c.ScheduleAt(2*time.Minute, func() {
-		_ = c.InjectTransfer("lhr", "nrt", 512*1024, func(r netsim.TransferResult) { after = r })
-	})
-	c.Run(4 * time.Minute)
-	c.Stop()
-	if during.Retransmits == 0 {
-		t.Error("no retransmits through the capacity cut")
-	}
-	if after.Retransmits >= during.Retransmits {
-		t.Errorf("post-restore retransmits %d >= during %d", after.Retransmits, during.Retransmits)
-	}
-
-	if err := (CapacityCut{PoP: "nope", Segments: 10}).Apply(c); err == nil {
-		t.Error("unknown PoP accepted")
-	}
-	if err := (CapacityCut{PoP: "nrt", From: "nope", Segments: 10}).Apply(c); err == nil {
-		t.Error("unknown From accepted")
-	}
-	if err := (CapacityCut{PoP: "nrt", From: "nrt", Segments: 10}).Apply(c); err == nil {
-		t.Error("self pair accepted")
-	}
-	if err := (CapacityCut{PoP: "nrt", Segments: 0}).Apply(c); err == nil {
-		t.Error("zero segments accepted")
-	}
-	if err := (CapacityCut{PoP: "nrt", Segments: 10, At: -time.Second}).Apply(c); err == nil {
-		t.Error("negative start accepted")
-	}
-}
-
-func TestPathFlapScenario(t *testing.T) {
-	c := newSmallCluster(t, false, 48)
-	base, err := c.BaselinePairRTT("lhr", "nrt")
-	if err != nil {
-		t.Fatal(err)
-	}
-	flap := PathFlap{A: "lhr", B: "nrt", At: 10 * time.Second, For: time.Minute, RTTScale: 3}
-	if err := flap.Apply(c); err != nil {
-		t.Fatal(err)
-	}
-	var during, after netsim.TransferResult
-	_ = c.ScheduleAt(20*time.Second, func() {
-		_ = c.InjectTransfer("lhr", "nrt", 1000, func(r netsim.TransferResult) { during = r })
-	})
-	_ = c.ScheduleAt(2*time.Minute, func() {
-		_ = c.InjectTransfer("lhr", "nrt", 1000, func(r netsim.TransferResult) { after = r })
-	})
-	c.Run(4 * time.Minute)
-	c.Stop()
-	// A one-round transfer's elapsed time is one (possibly flapped) RTT.
-	if during.Elapsed < time.Duration(2.9*float64(base)) {
-		t.Errorf("during-flap transfer %v not slowed (baseline %v)", during.Elapsed, base)
-	}
-	if after.Elapsed != base {
-		t.Errorf("post-flap transfer %v, want baseline %v", after.Elapsed, base)
-	}
-
-	if err := (PathFlap{A: "lhr", B: "nope", For: time.Second, RTTScale: 2}).Apply(c); err == nil {
-		t.Error("unknown PoP accepted")
-	}
-	if err := (PathFlap{A: "lhr", B: "lhr", For: time.Second, RTTScale: 2}).Apply(c); err == nil {
-		t.Error("self flap accepted")
-	}
-	if err := (PathFlap{A: "lhr", B: "nrt", For: time.Second, RTTScale: 0}).Apply(c); err == nil {
-		t.Error("zero scale accepted")
-	}
-}
-
-func TestPeerPartitionScenario(t *testing.T) {
-	c := newSmallCluster(t, false, 49)
-	part := PeerPartition{A: "lhr", B: "nrt", At: 45 * time.Second, For: 90 * time.Second}
-	if err := part.Apply(c); err != nil {
-		t.Fatal(err)
-	}
-	// Mid-partition, transfers between the pair cannot open; unrelated
-	// pairs are fine; afterwards the pair heals.
-	var midErr, otherErr, afterErr error
-	ran := false
-	_ = c.ScheduleAt(time.Minute, func() {
-		midErr = c.InjectTransfer("lhr", "nrt", 1000, nil)
-		otherErr = c.InjectTransfer("lhr", "fra", 1000, nil)
-	})
-	_ = c.ScheduleAt(3*time.Minute, func() {
-		afterErr = c.InjectTransfer("lhr", "nrt", 1000, nil)
-		ran = true
-	})
-	c.Run(4 * time.Minute)
-	c.Stop()
-	if !ran {
-		t.Fatal("schedule did not run")
-	}
-	if midErr == nil {
-		t.Error("transfer across the partition succeeded")
-	}
-	if otherErr != nil {
-		t.Errorf("unrelated pair failed: %v", otherErr)
-	}
-	if afterErr != nil {
-		t.Errorf("post-heal transfer failed: %v", afterErr)
-	}
-	// Probes across the partition were recorded as failures.
-	failed := false
-	for _, f := range c.ProbeFailures() {
-		pair := (f.Src == "lhr" && f.Dst == "nrt") || (f.Src == "nrt" && f.Dst == "lhr")
-		if pair {
-			failed = true
-			if f.At < 45*time.Second || f.At >= 135*time.Second {
-				t.Errorf("failure at %v outside the partition window", f.At)
-			}
-		}
-	}
-	if !failed {
-		t.Error("no probe failures recorded across the partition")
-	}
-
-	if err := (PeerPartition{A: "lhr", B: "nope", For: time.Second}).Apply(c); err == nil {
-		t.Error("unknown PoP accepted")
-	}
-	if err := (PeerPartition{A: "lhr", B: "lhr", For: time.Second}).Apply(c); err == nil {
-		t.Error("self partition accepted")
-	}
-	if err := (PeerPartition{A: "lhr", B: "nrt", For: 0}).Apply(c); err == nil {
-		t.Error("zero duration accepted")
-	}
-}
-
-func TestFlashCrowdRejectsNegativeParams(t *testing.T) {
-	c := newSmallCluster(t, false, 50)
-	defer c.Stop()
-	if err := (FlashCrowd{Target: "lhr", For: time.Second, RatePerPoP: 1, At: -time.Second}).Apply(c); err == nil {
-		t.Error("negative At accepted")
-	}
-	if err := (FlashCrowd{Target: "lhr", For: time.Second, RatePerPoP: 1, SizeBytes: -1}).Apply(c); err == nil {
-		t.Error("negative SizeBytes accepted")
-	}
-	// Zero size still defaults to 100 KB.
-	if err := (FlashCrowd{Target: "lhr", For: time.Second, RatePerPoP: 1, SizeBytes: 0}).Apply(c); err != nil {
-		t.Errorf("zero size rejected: %v", err)
 	}
 }
 

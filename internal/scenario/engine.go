@@ -139,7 +139,9 @@ type runState struct {
 	recoveryTick int
 }
 
-func (sp *Spec) executeRun(ov runOverrides) (map[string]float64, error) {
+// clusterConfig translates the fleet block, with the control run's
+// overrides applied, into the simulated cluster's configuration.
+func (sp *Spec) clusterConfig(ov runOverrides) (cdn.Config, error) {
 	fleet := sp.Fleet
 	riptideOn := fleet.Riptide.Enabled
 	if ov.riptide != nil {
@@ -151,7 +153,7 @@ func (sp *Spec) executeRun(ov runOverrides) (map[string]float64, error) {
 	}
 	pops, err := fleet.ResolvePoPs()
 	if err != nil {
-		return nil, err
+		return cdn.Config{}, err
 	}
 
 	cfg := cdn.Config{
@@ -196,18 +198,26 @@ func (sp *Spec) executeRun(ov runOverrides) (map[string]float64, error) {
 	if fleet.Traffic.OrganicSizeKB > 0 {
 		cfg.Traffic.OrganicSizes = workload.Constant(fleet.Traffic.OrganicSizeKB * 1024)
 	}
+	return cfg, nil
+}
 
+func (sp *Spec) executeRun(ov runOverrides) (map[string]float64, error) {
+	cfg, err := sp.clusterConfig(ov)
+	if err != nil {
+		return nil, err
+	}
 	c, err := cdn.NewCluster(cfg)
 	if err != nil {
 		return nil, err
 	}
+	riptideOn := cfg.Riptide.Enabled
 
-	st := &runState{guardOn: riptideOn && guardSpec != nil}
+	st := &runState{guardOn: cfg.Riptide.Guard != nil}
 	st.winStart, st.winEnd = sp.phaseWindow()
 
 	ladder := ov.gossip == nil || *ov.gossip
 	for _, ev := range sp.Events {
-		if err := applyEvent(c, ev, st, riptideOn, ladder, fleet.LossRate); err != nil {
+		if err := applyEvent(c, ev, st, riptideOn, ladder, sp.Fleet.LossRate); err != nil {
 			return nil, fmt.Errorf("event at %v (%s): %w", ev.At, ev.Kind, err)
 		}
 	}
@@ -267,16 +277,22 @@ func (sp *Spec) executeRun(ov runOverrides) (map[string]float64, error) {
 	return metrics, nil
 }
 
-// applyEvent schedules one parsed event onto the cluster. Recovery-tracking
-// snapshots are scheduled before the event itself so the FIFO order at equal
-// timestamps reads the pre-reboot route count.
+// applyEvent schedules one parsed event onto the cluster through the cdn
+// primitives. Parse already range-checked the payload, so the callbacks
+// cannot fail on their arguments. Recovery-tracking snapshots are scheduled
+// before the event itself so the FIFO order at equal timestamps reads the
+// pre-reboot route count.
 func applyEvent(c *cdn.Cluster, ev Event, st *runState, riptideOn, ladder bool, baselineLoss float64) error {
 	switch p := ev.Payload.(type) {
 	case *CapacityCutEvent:
-		return cdn.CapacityCut{
-			PoP: p.PoP, From: p.From, At: ev.At, For: p.For,
-			Segments: p.Segments, RestoreSegments: p.RestoreSegments,
-		}.Apply(c)
+		set := func(segments int) {
+			if p.From != "" {
+				_ = c.SetPoPPairCapacity(p.From, p.PoP, segments)
+			} else {
+				_ = c.SetPoPPathCapacity(p.PoP, segments)
+			}
+		}
+		return scheduleEpisode(c, ev.At, p.For, func() { set(p.Segments) }, func() { set(p.RestoreSegments) })
 	case *HostRebootEvent:
 		if p.TrackRecovery > 0 {
 			if err := scheduleRecoverySnapshot(c, st, ev.At, p.TrackRecovery); err != nil {
@@ -292,26 +308,56 @@ func applyEvent(c *cdn.Cluster, ev Event, st *runState, riptideOn, ladder bool, 
 				return err
 			}
 		}
-		return cdn.RollingReboots{PoPs: p.PoPs, Start: ev.At, Interval: p.Interval}.Apply(c)
-	case *FlashCrowdEvent:
-		return cdn.FlashCrowd{
-			Target: p.Target, At: ev.At, For: p.For,
-			RatePerPoP: p.RatePerPoP, SizeBytes: int64(p.SizeKB) * 1024,
-		}.Apply(c)
-	case *PathFlapEvent:
-		return cdn.PathFlap{A: p.A, B: p.B, At: ev.At, For: p.For, RTTScale: p.RTTScale}.Apply(c)
-	case *PeerPartitionEvent:
-		return cdn.PeerPartition{A: p.A, B: p.B, At: ev.At, For: p.For}.Apply(c)
-	case *DegradationEvent:
-		return cdn.RegionalDegradation{
-			PoP: p.PoP, At: ev.At, For: p.For,
-			LossRate: p.LossRate, BaselineLoss: baselineLoss,
-		}.Apply(c)
-	case *FleetSharingEvent:
-		if !riptideOn {
-			return nil // a control run without agents has nothing to share
+		for i, name := range p.PoPs {
+			if err := c.ScheduleAt(ev.At+time.Duration(i)*p.Interval, func() {
+				_, _ = c.RebootPoP(name)
+			}); err != nil {
+				return err
+			}
 		}
-		return c.EnableFleetSharing(p.Interval, core.MergePolicy{})
+		return nil
+	case *FlashCrowdEvent:
+		size := int64(p.SizeKB) * 1024
+		if size == 0 {
+			size = 100 * 1024
+		}
+		// Fixed-interval injections approximate the burst deterministically.
+		// The crowd fetches FROM the target, so the hot data flows
+		// target -> edge.
+		gap := time.Duration(float64(time.Second) / p.RatePerPoP)
+		for _, src := range c.PoPs() {
+			if src.Name == p.Target {
+				continue
+			}
+			for off := ev.At; off < ev.At+p.For; off += gap {
+				if err := c.ScheduleAt(off, func() {
+					_ = c.InjectTransfer(p.Target, src.Name, size, nil)
+				}); err != nil {
+					return err
+				}
+			}
+		}
+		return nil
+	case *PathFlapEvent:
+		base, err := c.BaselinePairRTT(p.A, p.B)
+		if err != nil {
+			return err
+		}
+		flapped := time.Duration(float64(base) * p.RTTScale)
+		if flapped <= 0 {
+			return fmt.Errorf("rtt_scale %v underflows the %v baseline", p.RTTScale, base)
+		}
+		return scheduleEpisode(c, ev.At, p.For,
+			func() { _ = c.SetPoPPairRTT(p.A, p.B, flapped) },
+			func() { _ = c.SetPoPPairRTT(p.A, p.B, base) })
+	case *PeerPartitionEvent:
+		return scheduleEpisode(c, ev.At, p.For,
+			func() { _, _ = c.PartitionPoPs(p.A, p.B, true) },
+			func() { _, _ = c.PartitionPoPs(p.A, p.B, false) })
+	case *DegradationEvent:
+		return scheduleEpisode(c, ev.At, p.For,
+			func() { _ = c.SetPoPPathLoss(p.PoP, p.LossRate) },
+			func() { _ = c.SetPoPPathLoss(p.PoP, baselineLoss) })
 	case *GossipSharingEvent:
 		if !riptideOn {
 			return nil // a control run without agents has nothing to sync
@@ -330,6 +376,18 @@ func applyEvent(c *cdn.Cluster, ev Event, st *runState, riptideOn, ladder bool, 
 		return c.ScheduleAt(ev.At, func() { applyKnob(c, p) })
 	}
 	return fmt.Errorf("unhandled event kind %q", ev.Kind)
+}
+
+// scheduleEpisode runs start at the given time and end dur later; a zero
+// dur leaves the episode in force for the rest of the run.
+func scheduleEpisode(c *cdn.Cluster, at, dur time.Duration, start, end func()) error {
+	if err := c.ScheduleAt(at, start); err != nil {
+		return err
+	}
+	if dur == 0 {
+		return nil
+	}
+	return c.ScheduleAt(at+dur, end)
 }
 
 func scheduleRecoverySnapshot(c *cdn.Cluster, st *runState, at time.Duration, frac float64) error {

@@ -101,7 +101,7 @@ fleet:
 duration: 4m
 events:
   - at: 0s
-    enable_fleet_sharing:
+    enable_gossip_sharing:
       interval: 5s
   - at: 1m59s
     host_reboot:

@@ -9,7 +9,7 @@ import (
 
 // eventKinds names every supported event, for error messages.
 var eventKinds = []string{
-	"capacity_cut", "degradation", "enable_fleet_sharing", "enable_gossip_sharing",
+	"capacity_cut", "degradation", "enable_gossip_sharing",
 	"flash_crowd", "host_reboot", "path_flap", "peer_partition", "rolling_reboots",
 	"set_knob",
 }
@@ -93,8 +93,6 @@ func parsePayload(kind string, n *Node) (EventPayload, error) {
 		return parsePeerPartition(n)
 	case "degradation":
 		return parseDegradation(n)
-	case "enable_fleet_sharing":
-		return parseFleetSharing(n)
 	case "enable_gossip_sharing":
 		return parseGossipSharing(n)
 	case "set_knob":
@@ -483,38 +481,6 @@ func (e *DegradationEvent) window(at, total time.Duration) (time.Duration, time.
 }
 
 func (e *DegradationEvent) affected() []string { return []string{e.PoP} }
-
-// enable_fleet_sharing
-
-func parseFleetSharing(n *Node) (EventPayload, error) {
-	if err := needMap(n, "enable_fleet_sharing"); err != nil {
-		return nil, err
-	}
-	if err := checkKeys(n, "interval"); err != nil {
-		return nil, err
-	}
-	e := &FleetSharingEvent{}
-	if err := getDur(n, "interval", &e.Interval); err != nil {
-		return nil, err
-	}
-	return e, nil
-}
-
-func (e *FleetSharingEvent) validate(pops map[string]bool, at, total time.Duration) error {
-	if e.Interval <= 0 {
-		return fmt.Errorf("interval %v must be positive", e.Interval)
-	}
-	if at != 0 {
-		return fmt.Errorf("must fire at 0s (sharing starts with the run)")
-	}
-	return nil
-}
-
-func (e *FleetSharingEvent) window(at, total time.Duration) (time.Duration, time.Duration) {
-	return 0, 0 // not a disruption
-}
-
-func (e *FleetSharingEvent) affected() []string { return nil }
 
 // enable_gossip_sharing
 

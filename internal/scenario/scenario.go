@@ -144,7 +144,11 @@ type EventPayload interface {
 	affected() []string
 }
 
-// CapacityCutEvent collapses path capacity around a PoP (or one pair).
+// CapacityCutEvent collapses the bottleneck capacity of the WAN paths
+// touching a PoP — the mid-run event the safety governor exists for. With
+// From set the cut is confined to the From<->PoP pair; otherwise every path
+// in and out of the PoP shrinks. RestoreSegments (0 = unlimited) is
+// reinstated after For; a zero For makes the cut permanent.
 type CapacityCutEvent struct {
 	PoP             string
 	From            string
@@ -164,14 +168,19 @@ type HostRebootEvent struct {
 	TrackRecovery float64
 }
 
-// RollingRebootsEvent reboots whole PoPs one after another.
+// RollingRebootsEvent reboots whole PoPs one after another, Interval apart —
+// a maintenance wave, the paper's Section II-A state-loss event at fleet
+// scale.
 type RollingRebootsEvent struct {
 	PoPs          []string
 	Interval      time.Duration
 	TrackRecovery float64
 }
 
-// FlashCrowdEvent mirrors cdn.FlashCrowd.
+// FlashCrowdEvent models a sudden burst of transfers from every other PoP's
+// fetches of an object held at Target — a viral object or a failed-over
+// tenant. Each other PoP fetches RatePerPoP objects per second of SizeKB
+// (0 = 100 KB).
 type FlashCrowdEvent struct {
 	Target     string
 	For        time.Duration
@@ -179,29 +188,28 @@ type FlashCrowdEvent struct {
 	SizeKB     int
 }
 
-// PathFlapEvent mirrors cdn.PathFlap.
+// PathFlapEvent models a route change between two PoPs: for a window the
+// paths between them run at RTTScale times their topology RTT, then snap
+// back.
 type PathFlapEvent struct {
 	A, B     string
 	For      time.Duration
 	RTTScale float64
 }
 
-// PeerPartitionEvent mirrors cdn.PeerPartition.
+// PeerPartitionEvent severs two PoPs for a window: connections between them
+// die, new opens fail, and traffic resumes when the partition heals.
 type PeerPartitionEvent struct {
 	A, B string
 	For  time.Duration
 }
 
-// DegradationEvent mirrors cdn.RegionalDegradation.
+// DegradationEvent raises loss on every path touching a PoP for a window,
+// then restores the fleet's configured loss rate.
 type DegradationEvent struct {
 	PoP      string
 	For      time.Duration
 	LossRate float64
-}
-
-// FleetSharingEvent enables periodic same-PoP snapshot exchange.
-type FleetSharingEvent struct {
-	Interval time.Duration
 }
 
 // GossipSharingEvent enables cross-PoP anti-entropy table sync with full

@@ -32,7 +32,7 @@ compare:
   guard: false
 events:
   - at: 0s
-    enable_fleet_sharing:
+    enable_gossip_sharing:
       interval: 5s
   - at: 2m
     capacity_cut:
@@ -103,6 +103,12 @@ func mutate(t *testing.T, old, new string) string {
 	return strings.Replace(validScenario, old, new, 1)
 }
 
+// withEvent swaps the fixture's flash crowd for a one-line event.
+func withEvent(t *testing.T, event string) string {
+	t.Helper()
+	return mutate(t, "    flash_crowd:\n      target: fra\n      for: 30s\n      rate_per_pop: 1.0", "    "+event)
+}
+
 func TestParseRejections(t *testing.T) {
 	cases := []struct {
 		name, src, want string
@@ -123,7 +129,25 @@ func TestParseRejections(t *testing.T) {
 		{"organic unknown pop", mutate(t, "      lhr: 2.0", "      syd: 2.0"), `unknown PoP "syd"`},
 		{"guard without riptide", mutate(t, "enabled: true", "enabled: false"), "guard needs riptide"},
 		{"compare without knob", mutate(t, "compare:\n  guard: false", "compare: {}"), "sets no knob"},
-		{"sharing not at zero", mutate(t, "  - at: 0s\n    enable_fleet_sharing:", "  - at: 0s\n    peer_partition: {a: lhr, b: fra, for: 10s}\n  - at: 1s\n    enable_fleet_sharing:"), "at 0s"},
+		{"event before start", mutate(t, "at: 2m", "at: -1s"), "outside the run"},
+		{"cut unknown pop", mutate(t, "pop: jfk", "pop: nope"), `unknown PoP "nope"`},
+		{"cut unknown from", mutate(t, "from: lhr", "from: nope"), `unknown PoP "nope"`},
+		{"cut negative for", mutate(t, "for: 2m", "for: -1s"), "must not be negative"},
+		{"crowd unknown target", mutate(t, "target: fra", "target: nope"), `unknown PoP "nope"`},
+		{"crowd zero rate", mutate(t, "rate_per_pop: 1.0", "rate_per_pop: 0"), "positive for and rate_per_pop"},
+		{"crowd negative size", mutate(t, "rate_per_pop: 1.0", "rate_per_pop: 1.0\n      size_kb: -1"), "must not be negative"},
+		{"degradation unknown pop", withEvent(t, "degradation: {pop: nope, for: 1s, loss_rate: 0.1}"), `unknown PoP "nope"`},
+		{"degradation loss 1", withEvent(t, "degradation: {pop: lhr, for: 1s, loss_rate: 1}"), "out of (0,1)"},
+		{"reboots no pops", withEvent(t, "rolling_reboots: {interval: 1s}"), "at least one PoP"},
+		{"reboots unknown pop", withEvent(t, "rolling_reboots: {pops: [nope], interval: 1s}"), `unknown PoP "nope"`},
+		{"reboots zero interval", withEvent(t, "rolling_reboots: {pops: [lhr]}"), "interval 0s must be positive"},
+		{"flap unknown pop", withEvent(t, "path_flap: {a: lhr, b: nope, for: 1s, rtt_scale: 2}"), `unknown PoP "nope"`},
+		{"flap self pair", withEvent(t, "path_flap: {a: lhr, b: lhr, for: 1s, rtt_scale: 2}"), "must differ"},
+		{"flap zero scale", withEvent(t, "path_flap: {a: lhr, b: nrt, for: 1s, rtt_scale: 0}"), "rtt_scale 0 must be positive"},
+		{"partition unknown pop", withEvent(t, "peer_partition: {a: nope, b: lhr, for: 1s}"), `unknown PoP "nope"`},
+		{"partition self pair", withEvent(t, "peer_partition: {a: lhr, b: lhr, for: 1s}"), "must differ"},
+		{"partition zero for", withEvent(t, "peer_partition: {a: lhr, b: nrt}"), "for 0s must be positive"},
+		{"sharing not at zero", mutate(t, "  - at: 0s\n    enable_gossip_sharing:", "  - at: 0s\n    peer_partition: {a: lhr, b: fra, for: 10s}\n  - at: 1s\n    enable_gossip_sharing:"), "at 0s"},
 	}
 	for _, tc := range cases {
 		_, err := Parse([]byte(tc.src))
