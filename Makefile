@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all check build vet test test-short test-race race bench bench-json bench-serve report report-full fuzz fuzz-guard fuzz-gossip fuzz-netlink fuzz-scenario scenarios examples clean
+.PHONY: all check build vet test test-short test-race race bench bench-serve report report-full fuzz fuzz-guard fuzz-gossip fuzz-netlink fuzz-scenario scenarios examples clean
 
 all: check
 
@@ -31,13 +31,6 @@ race:
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
-
-# Machine-readable perf-trajectory snapshot (agent-tick scaling series —
-# full-rescan, delta-steady, and delta-churn modes — plus batched-vs-
-# individual route programming and the fleet-serving fan-in series) for
-# PR-over-PR comparison.
-bench-json:
-	$(GO) run ./cmd/riptide-bench -perf-only -perf-json BENCH_10.json -perf-sizes 1000,10000,100000,1000000
 
 # The fleet-serving benchmarks alone: what one gossip GET costs the serving
 # agent, converged (cache hit) vs churning (rebuild per request) vs the 304

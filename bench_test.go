@@ -266,7 +266,7 @@ func BenchmarkAblationUpdateInterval(b *testing.B) {
 // comparable across PRs.
 func BenchmarkAgentTick(b *testing.B) {
 	const conns = 1000
-	sampler, routes, clock := newSyntheticBackend(conns, false)
+	sampler, routes, clock := newSyntheticBackend(conns)
 	agent, err := New(Config{Sampler: sampler, Routes: routes, Clock: clock})
 	if err != nil {
 		b.Fatal(err)
@@ -285,9 +285,9 @@ func BenchmarkAgentTick(b *testing.B) {
 // benchmarkAgentTickSeries is the hot-path scaling series: serial (one
 // shard) versus sharded planning, crossed with the tick's processing
 // modes — full rescan (every state replanned each round), delta steady
-// state (identical observation stream), and delta with ~1% window churn —
-// all over the batched route-programming surface at a fixed observed-table
-// size.
+// state (an unchanged table copied into the agent's buffer each round, as
+// netlink.Sampler does), and delta with ~1% window churn — all over the
+// batched route-programming surface at a fixed observed-table size.
 func benchmarkAgentTickSeries(b *testing.B, conns int) {
 	for _, sv := range []struct {
 		name   string
@@ -354,8 +354,7 @@ func BenchmarkAgentTick1M(b *testing.B) {
 // parallel plan stage: with real cores available, sharding the full-rescan
 // plan work across 8 shards must not lose to a single shard. On fewer than
 // 4 cores the comparison measures lock traffic, not parallelism, so the
-// test skips — exactly the configuration the perf harness now refuses to
-// label "parallel".
+// test skips.
 func TestShardedTickNotSlowerThanSerial(t *testing.T) {
 	if runtime.GOMAXPROCS(0) < 4 {
 		t.Skipf("GOMAXPROCS=%d: parallel plan stage needs >=4 cores to beat serial", runtime.GOMAXPROCS(0))

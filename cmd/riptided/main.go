@@ -181,6 +181,9 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if *gossipInterval < 0 {
+		return fmt.Errorf("-gossip-interval %v must not be negative", *gossipInterval)
+	}
 
 	logger := log.New(os.Stderr, "riptided: ", log.LstdFlags)
 

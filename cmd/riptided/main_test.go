@@ -19,6 +19,19 @@ func TestRunBadFlag(t *testing.T) {
 	}
 }
 
+// TestRunRejectsNegativeFleetDurations: a negative gossip cadence or peer
+// timeout fails at startup instead of leaving every peer pull to fail.
+func TestRunRejectsNegativeFleetDurations(t *testing.T) {
+	for _, args := range [][]string{
+		{"-dry-run", "-run-for", "1s", "-peers", "127.0.0.1:1", "-gossip", "-gossip-interval", "-1s"},
+		{"-dry-run", "-run-for", "1s", "-peers", "127.0.0.1:1", "-peer-timeout", "-1s"},
+	} {
+		if err := run(args); err == nil {
+			t.Errorf("run %q accepted", args)
+		}
+	}
+}
+
 func TestRunUnknownBackend(t *testing.T) {
 	err := run([]string{"-backend", "quantum"})
 	if err == nil || !strings.Contains(err.Error(), "unknown backend") {

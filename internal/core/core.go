@@ -681,15 +681,12 @@ type Agent struct {
 	// stream and its per-index sample cache. An observation that is
 	// byte-identical at the same index as last round reuses its cached
 	// route key, shard, and state pointer — no re-keying, no hashing, no
-	// map lookup — and a whole stream that is literally the same slice as
-	// last round's can skip the grouping passes outright (see planShard).
-	// Unused when Config.FullRescan is set.
+	// map lookup. Unused when Config.FullRescan is set.
 	delta     bool
 	obsPrev   []Observation
 	cachePrev []cachedSample
 	cacheCur  []cachedSample
 	havePrev  bool
-	identTick bool // this round's stream is the same slice as last round's
 	// quiescentOK gates the stable-round fast path (planShardQuiescent):
 	// set when no per-destination visit can have side effects beyond the
 	// entry itself — no Governor, no Advisor, no shared History policy, no

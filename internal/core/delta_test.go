@@ -11,16 +11,17 @@ import (
 )
 
 // Tests for the delta-driven tick: for any observation stream, the delta
-// path (sample caching, clean-group reuse, identical-stream skip, next-expiry
-// gating) must produce byte-identical route programs, entries, stats, and
-// error text to a full rescan of the same stream.
+// path (sample caching, clean-group reuse, the quiescent stable round,
+// next-expiry gating) must produce byte-identical route programs, entries,
+// stats, and error text to a full rescan of the same stream.
 
-// fixedSampler returns the same backing slice every round — the shape that
-// triggers the delta tick's identical-stream fast path (perf.FixedSampler
-// cannot be imported here without a cycle).
-type fixedSampler []Observation
+// ownSliceSampler ignores the agent's buffer and returns its own unchanged
+// slice every round, as the ConnectionSampler contract permits. No shipped
+// sampler does this; the agent must still treat the round as an ordinary
+// positionally-stable one.
+type ownSliceSampler []Observation
 
-func (s fixedSampler) SampleConnections([]Observation) ([]Observation, error) {
+func (s ownSliceSampler) SampleConnections([]Observation) ([]Observation, error) {
 	return s, nil
 }
 
@@ -296,10 +297,10 @@ func TestStableRoundsEngageQuiescentPath(t *testing.T) {
 	}
 }
 
-// TestIdentStreamRefreshesTTL pins the identical-slice skip path: a sampler
-// that returns its own backing slice every round lets the delta tick skip
-// ingest and regrouping, but smoothing, TTL refresh, and guard review must
-// still run — otherwise entries would expire mid-stream here.
+// TestIdentStreamRefreshesTTL pins a sampler that returns its own backing
+// slice every round: the delta tick compares the slice with itself and takes
+// the stable-round path, but smoothing and TTL refresh must still run —
+// otherwise entries would expire mid-stream here.
 func TestIdentStreamRefreshesTTL(t *testing.T) {
 	obs := make([]Observation, 300) // past parallelThreshold
 	for i := range obs {
@@ -312,7 +313,7 @@ func TestIdentStreamRefreshesTTL(t *testing.T) {
 	routes := &recordingRoutes{}
 	var now atomic.Int64
 	a, err := New(Config{
-		Sampler: fixedSampler(obs),
+		Sampler: ownSliceSampler(obs),
 		Routes:  routes,
 		Clock:   func() time.Duration { return time.Duration(now.Load()) },
 		Shards:  4,
@@ -411,7 +412,7 @@ func BenchmarkExpirePassNoop(b *testing.B) {
 		}
 	}
 	a, err := New(Config{
-		Sampler: fixedSampler(obs),
+		Sampler: ownSliceSampler(obs),
 		Routes:  nopRoutes{},
 		Clock:   func() time.Duration { return 0 },
 		Shards:  8,

@@ -144,8 +144,7 @@ type shard struct {
 	nextExpiry time.Duration
 	// planValid marks that touched/span/arena scratch from the last
 	// grouping rebuild is still exact: no state has been deleted since.
-	// Combined with an identical sample stream it lets planShard skip the
-	// grouping passes outright (see planShard).
+	// The stable-round fast path requires it on every shard (see Tick).
 	planValid bool
 
 	// Aggregation state (Config.AggregateBits): covering prefix →
@@ -501,7 +500,7 @@ func (a *Agent) ingestChunk(w int, obs []Observation) {
 // pass, and emit the shard's route plan, clears, and expiry candidates into
 // its scratch slices.
 //
-// Delta mode prunes the work three ways, always producing byte-identical
+// Delta mode prunes the work two ways, always producing byte-identical
 // output to a full rescan (enforced by TestDeltaTickMatchesFullRescan):
 //
 //   - an observation position-stable since last round arrives with its
@@ -509,11 +508,7 @@ func (a *Agent) ingestChunk(w int, obs []Observation) {
 //   - a group whose every member is stable and whose size is unchanged is
 //     provably identical to last round's, so the arena copy and Combine are
 //     skipped and the recorded Combine value reused — smoothing, clamping,
-//     review, and TTL refresh still run every round;
-//   - a sample stream that is literally the same slice as last round's,
-//     with no state deleted since the last rebuild (sh.planValid), skips
-//     passes 1 and 2 outright: the retained touched/span/arena scratch is
-//     still exact.
+//     review, and TTL refresh still run every round.
 func (a *Agent) planShard(si int, obs []Observation, now time.Duration) {
 	sh := a.shards[si]
 	nShards := len(a.shards)
@@ -539,100 +534,95 @@ func (a *Agent) planShard(si int, obs []Observation, now time.Duration) {
 		sh.creditPending = false
 	}
 
-	if !(a.identTick && sh.planValid) {
-		sh.planValid = false
-		sh.touched = sh.touched[:0]
+	sh.touched = sh.touched[:0]
 
-		// Pass 1: resolve states and count groups. Replaying the
-		// worker-major buckets in worker order visits observations in
-		// original sample order, so first-encounter order (sh.touched) is
-		// deterministic for every shard and worker count. Observations
-		// that arrived without a cached state resolve through the map and
-		// mark their group dirty; newly resolved pointers are written back
-		// to the sample cache for the next round.
-		seq := a.tickSeq
-		cache := a.cacheCur
-		gen := sh.gen
-		for w := 0; w < a.ingestWorkers; w++ {
-			bucket := a.buckets[w*nShards+si]
-			for j := range bucket {
-				ko := &bucket[j]
-				st := ko.st
-				fresh := st == nil
-				if fresh {
-					st = sh.states[ko.key]
-					if st == nil {
-						st = sh.newDestState()
-						sh.states[ko.key] = st
-						a.aggRegister(sh, ko.key, st)
-					}
-					if a.delta {
-						cache[ko.idx].st = st
-						cache[ko.idx].gen = gen
-					}
-					ko.st = st
+	// Pass 1: resolve states and count groups. Replaying the
+	// worker-major buckets in worker order visits observations in
+	// original sample order, so first-encounter order (sh.touched) is
+	// deterministic for every shard and worker count. Observations
+	// that arrived without a cached state resolve through the map and
+	// mark their group dirty; newly resolved pointers are written back
+	// to the sample cache for the next round.
+	seq := a.tickSeq
+	cache := a.cacheCur
+	gen := sh.gen
+	for w := 0; w < a.ingestWorkers; w++ {
+		bucket := a.buckets[w*nShards+si]
+		for j := range bucket {
+			ko := &bucket[j]
+			st := ko.st
+			fresh := st == nil
+			if fresh {
+				st = sh.states[ko.key]
+				if st == nil {
+					st = sh.newDestState()
+					sh.states[ko.key] = st
+					a.aggRegister(sh, ko.key, st)
 				}
-				if st.seq != seq {
-					st.seq = seq
-					st.span = groupSpan{}
-					sh.touched = append(sh.touched, plannedDest{key: ko.key, st: st})
+				if a.delta {
+					cache[ko.idx].st = st
+					cache[ko.idx].gen = gen
 				}
-				st.span.n++
-				if fresh {
-					st.span.dirty = true
-				}
+				ko.st = st
+			}
+			if st.seq != seq {
+				st.seq = seq
+				st.span = groupSpan{}
+				sh.touched = append(sh.touched, plannedDest{key: ko.key, st: st})
+			}
+			st.span.n++
+			if fresh {
+				st.span.dirty = true
 			}
 		}
+	}
 
-		// Pass 2: clean groups (fully stable, unchanged size, with a
-		// recorded Combine value) skip the arena; dirty groups get offsets
-		// and are filled in sample order. Quiescent-eligible configs also
-		// record every group's member sample-indices (memberIdx), so later
-		// stable rounds can re-Combine a dirtied group without any regroup.
-		off := int32(0)
-		moff := int32(0)
-		for _, td := range sh.touched {
-			sp := &td.st.span
-			if a.quiescentOK {
-				td.st.memberOff = moff
-				moff += sp.n
-			}
-			if !sp.dirty && td.st.hasLast && sp.n == td.st.prevN {
-				sp.off = cleanSpan
-				continue
-			}
-			sp.off = off
-			off += sp.n
-		}
-		if int(off) > len(sh.arena) {
-			sh.arena = make([]Observation, off)
-		}
-		if int(moff) > len(sh.memberIdx) {
-			sh.memberIdx = make([]int32, moff)
-		}
-		if off > 0 || moff > 0 {
-			arena, members := sh.arena, sh.memberIdx
-			for w := 0; w < a.ingestWorkers; w++ {
-				for _, ko := range a.buckets[w*nShards+si] {
-					sp := &ko.st.span
-					if moff > 0 {
-						members[ko.st.memberOff+sp.mfill] = ko.idx
-						sp.mfill++
-					}
-					if sp.off == cleanSpan {
-						continue
-					}
-					arena[sp.off+sp.fill] = obs[ko.idx]
-					sp.fill++
-				}
-			}
-		}
-		if a.delta {
-			sh.planValid = true
-		}
+	// Pass 2: clean groups (fully stable, unchanged size, with a
+	// recorded Combine value) skip the arena; dirty groups get offsets
+	// and are filled in sample order. Quiescent-eligible configs also
+	// record every group's member sample-indices (memberIdx), so later
+	// stable rounds can re-Combine a dirtied group without any regroup.
+	off := int32(0)
+	moff := int32(0)
+	for _, td := range sh.touched {
+		sp := &td.st.span
 		if a.quiescentOK {
-			sh.fullSeq = seq
+			td.st.memberOff = moff
+			moff += sp.n
 		}
+		if !sp.dirty && td.st.hasLast && sp.n == td.st.prevN {
+			sp.off = cleanSpan
+			continue
+		}
+		sp.off = off
+		off += sp.n
+	}
+	if int(off) > len(sh.arena) {
+		sh.arena = make([]Observation, off)
+	}
+	if int(moff) > len(sh.memberIdx) {
+		sh.memberIdx = make([]int32, moff)
+	}
+	if off > 0 || moff > 0 {
+		arena, members := sh.arena, sh.memberIdx
+		for w := 0; w < a.ingestWorkers; w++ {
+			for _, ko := range a.buckets[w*nShards+si] {
+				sp := &ko.st.span
+				if moff > 0 {
+					members[ko.st.memberOff+sp.mfill] = ko.idx
+					sp.mfill++
+				}
+				if sp.off == cleanSpan {
+					continue
+				}
+				arena[sp.off+sp.fill] = obs[ko.idx]
+				sp.fill++
+			}
+		}
+	}
+	sh.planValid = a.delta
+	if a.quiescentOK {
+		sh.fullSeq = seq
 	}
 
 	// Pass 3: per destination — combine (or reuse), smooth, clamp, review,

@@ -118,29 +118,12 @@ func (a *Agent) Tick() error {
 	}
 	a.noteSampleSuccess()
 
-	// Delta setup: size this round's sample cache, and detect a stream
-	// that is literally last round's slice (a sampler with a fixed set
-	// returning its own backing array). Such a round can skip ingest
-	// entirely — and, per shard, the grouping passes (see planShard) —
-	// unless a governor needs to see every sample or a shard's retained
-	// scratch was invalidated.
-	identStream := false
+	// Delta setup: size this round's sample cache.
 	if a.delta {
 		if cap(a.cacheCur) < len(obs) {
 			a.cacheCur = make([]cachedSample, len(obs))
 		} else {
 			a.cacheCur = a.cacheCur[:cap(a.cacheCur)]
-		}
-		identStream = a.havePrev && len(obs) > 0 && len(obs) == len(a.obsPrev) && &obs[0] == &a.obsPrev[0]
-	}
-	a.identTick = identStream
-	skipIngest := identStream && a.cfg.Guard == nil
-	if skipIngest {
-		for _, sh := range a.shards {
-			if !sh.planValid {
-				skipIngest = false
-				break
-			}
 		}
 	}
 
@@ -175,10 +158,7 @@ func (a *Agent) Tick() error {
 			for i := 0; i < workers*nShards; i++ {
 				a.buckets[i] = a.buckets[i][:0]
 			}
-			switch {
-			case identStream:
-				stable = true
-			case workers > 1:
+			if workers > 1 {
 				runParallel(workers, func(w int) { a.compareOK[w] = a.compareChunk(w, obs) })
 				stable = true
 				for w := 0; w < workers; w++ {
@@ -187,7 +167,7 @@ func (a *Agent) Tick() error {
 						break
 					}
 				}
-			default:
+			} else {
 				stable = a.compareChunk(0, obs)
 			}
 		}
@@ -202,13 +182,11 @@ func (a *Agent) Tick() error {
 			}
 		}
 	} else {
-		if !skipIngest {
-			a.ingestWorkers = workers
-			for i := 0; i < workers*nShards; i++ {
-				a.buckets[i] = a.buckets[i][:0]
-			}
-			runParallel(workers, func(w int) { a.ingestChunk(w, obs) })
+		a.ingestWorkers = workers
+		for i := 0; i < workers*nShards; i++ {
+			a.buckets[i] = a.buckets[i][:0]
 		}
+		runParallel(workers, func(w int) { a.ingestChunk(w, obs) })
 		// The governor sees every valid sample above, then closes its
 		// round before any Review call.
 		if a.cfg.Guard != nil {
@@ -296,7 +274,7 @@ func (a *Agent) Tick() error {
 	if a.delta {
 		// A stable round never re-keys: positions are unchanged, so last
 		// round's cache stays authoritative and is not swapped out.
-		if !skipIngest && !stable {
+		if !stable {
 			a.cachePrev, a.cacheCur = a.cacheCur, a.cachePrev
 		}
 		prevScratch := a.obsPrev

@@ -170,16 +170,16 @@ func TestGossipEntriesReceivedCounter(t *testing.T) {
 	}, core.MergePolicy{MaxAge: time.Hour}); err != nil {
 		t.Fatal(err)
 	}
-	delta := gossippkg.TableDelta(src, "host-a", "boot-1", since)
-	if len(delta.Entries) != 2 {
-		t.Fatalf("delta carries %d entries, want 2", len(delta.Entries))
+	changed, _ := src.ExportDelta(since)
+	if len(changed) != 2 {
+		t.Fatalf("delta carries %d entries, want 2", len(changed))
 	}
 	p.PullOnce(context.Background())
 	if h := p.Health()[0]; h.Mode != ModeDelta {
 		t.Fatalf("health = %+v, want a delta round", h)
 	}
-	if got := received.Value(); got != 2+uint64(len(delta.Entries)) {
-		t.Fatalf("after delta round received = %d, want %d", got, 2+len(delta.Entries))
+	if got := received.Value(); got != 2+uint64(len(changed)) {
+		t.Fatalf("after delta round received = %d, want %d", got, 2+len(changed))
 	}
 }
 

@@ -131,7 +131,8 @@ type PullerConfig struct {
 	Interval time.Duration
 	// MaxBackoff caps the per-peer retry backoff. 0 means 8× Interval.
 	MaxBackoff time.Duration
-	// Timeout bounds each HTTP request. 0 means 5 seconds.
+	// Timeout bounds each HTTP request. 0 means 5 seconds; a negative
+	// value is rejected.
 	Timeout time.Duration
 	// Policy is applied to every merge; the zero value uses the agent's
 	// TTL-derived defaults.
@@ -187,6 +188,9 @@ func NewPuller(cfg PullerConfig) (*Puller, error) {
 	}
 	if cfg.Timeout == 0 {
 		cfg.Timeout = 5 * time.Second
+	}
+	if cfg.Timeout < 0 {
+		return nil, fmt.Errorf("riptide/fleet: Timeout %v must be positive", cfg.Timeout)
 	}
 	if cfg.Client == nil {
 		cfg.Client = &http.Client{}

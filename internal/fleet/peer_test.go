@@ -214,6 +214,9 @@ func TestNewPullerValidation(t *testing.T) {
 	if _, err := NewPuller(PullerConfig{Agent: a, Interval: -time.Second}); err == nil {
 		t.Fatal("NewPuller accepted negative interval")
 	}
+	if _, err := NewPuller(PullerConfig{Agent: a, Timeout: -time.Second}); err == nil {
+		t.Fatal("NewPuller accepted negative timeout")
+	}
 	// Blank peer specs are dropped.
 	p, err := NewPuller(PullerConfig{Agent: a, Peers: []string{"", "  ", "peer:1"}})
 	if err != nil {

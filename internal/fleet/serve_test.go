@@ -37,7 +37,15 @@ func uncachedBodies(t *testing.T, a *core.Agent, source, instance string, create
 	if err != nil {
 		t.Fatalf("EncodeDigest: %v", err)
 	}
-	dl, err := gossippkg.EncodeDelta(gossippkg.TableDelta(a, source, instance, 0))
+	entries, version := a.ExportDelta(0)
+	dl, err := gossippkg.EncodeDelta(gossippkg.Delta{
+		Version:      gossippkg.WireVersion,
+		Source:       source,
+		Instance:     instance,
+		TableVersion: version,
+		Full:         true,
+		Entries:      gossippkg.FromCore(entries),
+	})
 	if err != nil {
 		t.Fatalf("EncodeDelta: %v", err)
 	}
@@ -406,5 +414,97 @@ func TestPullerNotModifiedRound(t *testing.T) {
 	h = p.Health()[0]
 	if h.NotModified != 2 {
 		t.Fatalf("round 4 health = %+v, want notModified=2", h)
+	}
+}
+
+// getDelta fetches and decodes one /fleet/delta response.
+func getDelta(t *testing.T, h http.Handler, target string) gossippkg.Delta {
+	t.Helper()
+	w := serveGet(h, target, "")
+	if w.Code != http.StatusOK {
+		t.Fatalf("GET %s: status %d: %s", target, w.Code, w.Body.String())
+	}
+	d, err := gossippkg.DecodeDelta(w.Body.Bytes())
+	if err != nil {
+		t.Fatalf("GET %s: %v", target, err)
+	}
+	return d
+}
+
+// TestServeDeltaSince: a versioned /fleet/delta carries only the entries
+// committed after the cursor, and a cursor the server cannot interpret
+// degrades to the full table.
+func TestServeDeltaSince(t *testing.T) {
+	a, _, _ := newTestAgent(t, []core.Observation{
+		obs(t, "192.0.2.1", 40),
+		obs(t, "192.0.2.2", 50),
+	})
+	h := NewServer(a, "src", "inst", nil).DeltaHandler()
+	v1 := a.TableVersion()
+	if v1 == 0 {
+		t.Fatal("table version did not advance on first programs")
+	}
+	since := func(v uint64) string { return fmt.Sprintf("%s?since=%d&instance=inst", DeltaPath, v) }
+
+	full := getDelta(t, h, since(0))
+	if !full.Full || len(full.Entries) != 2 || full.TableVersion != v1 {
+		t.Fatalf("full delta = %+v", full)
+	}
+
+	// Nothing changed: a delta from v1 is empty.
+	empty := getDelta(t, h, since(v1))
+	if empty.Full || len(empty.Entries) != 0 || empty.Since != v1 {
+		t.Fatalf("empty delta = %+v", empty)
+	}
+
+	// One more destination learned: the delta carries exactly it.
+	if _, err := a.MergeSnapshot([]core.SnapshotEntry{{
+		Prefix:  netip.MustParsePrefix("198.51.100.9/32"),
+		Window:  30,
+		Samples: 5,
+		Age:     time.Second,
+	}}, core.MergePolicy{MaxAge: time.Hour}); err != nil {
+		t.Fatal(err)
+	}
+	delta := getDelta(t, h, since(v1))
+	if delta.Full || len(delta.Entries) != 1 || delta.Entries[0].Prefix != "198.51.100.9/32" {
+		t.Fatalf("delta = %+v, want just 198.51.100.9/32", delta)
+	}
+	if delta.TableVersion <= v1 {
+		t.Fatalf("delta version %d did not advance past %d", delta.TableVersion, v1)
+	}
+
+	// A cursor from the future (a previous life of this agent) cannot be
+	// interpreted: serve the full table.
+	reset := getDelta(t, h, since(delta.TableVersion+1000))
+	if !reset.Full || len(reset.Entries) != 3 {
+		t.Fatalf("future-cursor delta = %+v, want full table", reset)
+	}
+}
+
+// TestServeDigestMatchesServedContent: the digest a server answers equals
+// the digest computed over the full delta it serves — the invariant the
+// puller's converged-detection depends on.
+func TestServeDigestMatchesServedContent(t *testing.T) {
+	a, _, _ := newTestAgent(t, []core.Observation{
+		obs(t, "192.0.2.1", 40),
+		obs(t, "198.51.100.7", 80),
+	})
+	s := NewServer(a, "src", "inst", nil)
+	w := serveGet(s.DigestHandler(), DigestPath, "")
+	if w.Code != http.StatusOK {
+		t.Fatalf("GET %s: status %d", DigestPath, w.Code)
+	}
+	d, err := gossippkg.DecodeDigest(w.Body.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := getDelta(t, s.DeltaHandler(), DeltaPath)
+	recomputed := gossippkg.Compute(full.Entries, "src", "inst", full.TableVersion)
+	if !gossippkg.ContentEqual(d, recomputed) {
+		t.Fatal("served digest does not match served content")
+	}
+	if d.Count != 2 {
+		t.Fatalf("digest count = %d, want 2", d.Count)
 	}
 }

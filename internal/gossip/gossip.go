@@ -316,41 +316,3 @@ func TableDigest(a *core.Agent, source, instance string) Digest {
 		Buckets:      buckets,
 	}
 }
-
-// TableDelta exports an agent's entries committed after `since` as a wire
-// delta. since 0 exports the full table with Full set — the same payload a
-// first-contact peer or an unusable cursor gets.
-func TableDelta(a *core.Agent, source, instance string, since uint64) Delta {
-	if since > a.TableVersion() {
-		// The cursor is from a previous life of this agent (or a peer
-		// confusion); it cannot be interpreted. Send everything.
-		since = 0
-	}
-	entries, version := a.ExportDelta(since)
-	return Delta{
-		Version:      WireVersion,
-		Source:       source,
-		Instance:     instance,
-		TableVersion: version,
-		Since:        since,
-		Full:         since == 0,
-		Entries:      FromCore(entries),
-	}
-}
-
-// TableBuckets exports the full-table entries falling in the given buckets
-// as a wire delta for a post-restart resync. Quarantine markers are content
-// like any entry: they bucket by prefix, so a divergent marker shows up in
-// its bucket's diff and is fetched with it.
-func TableBuckets(a *core.Agent, source, instance string, buckets []int) Delta {
-	entries, version := a.ExportDelta(0)
-	wire := FromCore(entries)
-	kept := FilterBuckets(wire, buckets)
-	return Delta{
-		Version:      WireVersion,
-		Source:       source,
-		Instance:     instance,
-		TableVersion: version,
-		Entries:      kept,
-	}
-}

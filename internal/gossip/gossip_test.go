@@ -53,25 +53,6 @@ func obs(t *testing.T, addr string, cwnd int) core.Observation {
 	return core.Observation{Dst: a, Cwnd: cwnd}
 }
 
-func newTestAgent(t *testing.T, observations []core.Observation) *core.Agent {
-	t.Helper()
-	a, err := core.New(core.Config{
-		Sampler: &stubSampler{obs: observations},
-		Routes:  newMemRoutes(),
-		Clock:   func() time.Duration { return 0 },
-	})
-	if err != nil {
-		t.Fatalf("core.New: %v", err)
-	}
-	t.Cleanup(func() { a.Close() })
-	if observations != nil {
-		if err := a.Tick(); err != nil {
-			t.Fatalf("Tick: %v", err)
-		}
-	}
-	return a
-}
-
 func entries(n int) []Entry {
 	out := make([]Entry, 0, n)
 	for i := 0; i < n; i++ {
@@ -242,72 +223,5 @@ func TestDecodeDeltaRejectsBadInput(t *testing.T) {
 		if _, err := DecodeDelta([]byte(data)); err == nil {
 			t.Errorf("%s: DecodeDelta accepted %q", name, data)
 		}
-	}
-}
-
-// TestTableDeltaSince: versioned deltas carry only entries committed after
-// the cursor, and an unusable cursor degrades to a full table.
-func TestTableDeltaSince(t *testing.T) {
-	a := newTestAgent(t, []core.Observation{
-		obs(t, "192.0.2.1", 40),
-		obs(t, "192.0.2.2", 50),
-	})
-	v1 := a.TableVersion()
-	if v1 == 0 {
-		t.Fatal("table version did not advance on first programs")
-	}
-
-	full := TableDelta(a, "src", "inst", 0)
-	if !full.Full || len(full.Entries) != 2 || full.TableVersion != v1 {
-		t.Fatalf("full delta = %+v", full)
-	}
-
-	// Nothing changed: a delta from v1 is empty.
-	empty := TableDelta(a, "src", "inst", v1)
-	if empty.Full || len(empty.Entries) != 0 || empty.Since != v1 {
-		t.Fatalf("empty delta = %+v", empty)
-	}
-
-	// One more destination learned: the delta carries exactly it.
-	if _, err := a.MergeSnapshot([]core.SnapshotEntry{{
-		Prefix:  netip.MustParsePrefix("198.51.100.9/32"),
-		Window:  30,
-		Samples: 5,
-		Age:     time.Second,
-	}}, core.MergePolicy{MaxAge: time.Hour}); err != nil {
-		t.Fatal(err)
-	}
-	delta := TableDelta(a, "src", "inst", v1)
-	if delta.Full || len(delta.Entries) != 1 || delta.Entries[0].Prefix != "198.51.100.9/32" {
-		t.Fatalf("delta = %+v, want just 198.51.100.9/32", delta)
-	}
-	if delta.TableVersion <= v1 {
-		t.Fatalf("delta version %d did not advance past %d", delta.TableVersion, v1)
-	}
-
-	// A cursor from the future (a previous life of this agent) cannot be
-	// interpreted: serve the full table.
-	reset := TableDelta(a, "src", "inst", delta.TableVersion+1000)
-	if !reset.Full || len(reset.Entries) != 3 {
-		t.Fatalf("future-cursor delta = %+v, want full table", reset)
-	}
-}
-
-// TestTableDigestMatchesWireContent: the digest an agent serves equals the
-// digest computed over the entries it would serve — the invariant the
-// puller's converged-detection depends on.
-func TestTableDigestMatchesWireContent(t *testing.T) {
-	a := newTestAgent(t, []core.Observation{
-		obs(t, "192.0.2.1", 40),
-		obs(t, "198.51.100.7", 80),
-	})
-	d := TableDigest(a, "src", "inst")
-	full := TableDelta(a, "src", "inst", 0)
-	recomputed := Compute(full.Entries, "src", "inst", full.TableVersion)
-	if !ContentEqual(d, recomputed) {
-		t.Fatal("served digest does not match served content")
-	}
-	if d.Count != 2 {
-		t.Fatalf("digest count = %d, want 2", d.Count)
 	}
 }

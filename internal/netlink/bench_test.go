@@ -6,15 +6,30 @@ import (
 	"os/exec"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"riptide/internal/core"
 	"riptide/internal/linux"
 	"riptide/internal/netlink"
-	"riptide/internal/perf"
 )
 
 // benchSockets is the head-to-head sample size: a busy production host.
 const benchSockets = 10_000
+
+// syntheticObservations builds n observations over distinct IPv4 hosts
+// with varied windows, RTTs and byte counts: a busy host's socket table.
+func syntheticObservations(n int) []core.Observation {
+	obs := make([]core.Observation, n)
+	for i := range obs {
+		obs[i] = core.Observation{
+			Dst:        netip.AddrFrom4([4]byte{10, byte(i / 62500 % 250), byte(i / 250 % 250), byte(1 + i%250)}),
+			Cwnd:       10 + i%90,
+			RTT:        time.Duration(20+i%200) * time.Millisecond,
+			BytesAcked: int64(i) * 1500,
+		}
+	}
+	return obs
+}
 
 // catSSRunner forks `cat <fixture>` per sample, standing in for `ss -tin`
 // with identical exec cost and deterministic output.
@@ -53,7 +68,7 @@ func writeSSFixture(tb testing.TB, obs []core.Observation) string {
 // from an in-memory conn, and the exec sampler really forking a process
 // (`cat` over the equivalent ss text) per sample.
 func BenchmarkSamplerExecVsNetlink(b *testing.B) {
-	obs := perf.SyntheticObservations(benchSockets)
+	obs := syntheticObservations(benchSockets)
 
 	b.Run("netlink", func(b *testing.B) {
 		mem := &netlink.MemConn{Sockets: obs}
@@ -146,7 +161,7 @@ func prefix24(i int) (p netip.Prefix) {
 // exec backend's parse step alone (its fork/exec and output-capture
 // allocations excluded — the real gap is larger).
 func TestSamplerAllocationAdvantage(t *testing.T) {
-	obs := perf.SyntheticObservations(benchSockets)
+	obs := syntheticObservations(benchSockets)
 	text := linux.RenderSS(obs)
 
 	mem := &netlink.MemConn{Sockets: obs}

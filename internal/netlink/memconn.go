@@ -27,7 +27,9 @@ var errWouldBlock = errors.New("memconn: no pending response (would block)")
 // patched during Receive's copy-out), so steady-state sampling through a
 // MemConn is allocation-free on both sides of the Conn boundary.
 type MemConn struct {
-	// Sockets is the connection table served to sock_diag dumps.
+	// Sockets is the connection table served to sock_diag dumps. It is
+	// encoded once, at the first dump (ensureDumps), and never read again:
+	// changing it afterwards does not change what later dumps serve.
 	Sockets []core.Observation
 	// InstalledRoutes is the routing table served to RTM_GETROUTE dumps.
 	InstalledRoutes []RecordedRoute
